@@ -16,7 +16,7 @@ use std::time::Instant;
 use softmem_bench::stress::{Block, ALLOC_BYTES};
 use softmem_core::{bytes_to_pages, MachineMemory, Priority, Sma, SmaConfig, SoftSlot};
 use softmem_daemon::{Smd, SmdConfig, SoftProcess};
-use softmem_kv::{Command, Response, Store};
+use softmem_kv::{CommandRef, Response, Store};
 use softmem_sds::SoftQueue;
 use softmem_telemetry::combined_json;
 
@@ -91,12 +91,13 @@ fn main() {
     let kv_ops = n / 10;
     for i in 0..kv_ops {
         let key = format!("key-{:06}", i % 1024);
-        let set = Command::parse(&format!("SET {key} v{i}")).expect("parse SET");
+        let set = format!("SET {key} v{i}");
+        let set = CommandRef::parse(&set).expect("parse SET");
         assert!(!matches!(set.execute(&store), Response::Error(_)));
         if i % 3 == 0 {
-            let hit = Command::parse(&format!("GET {key}")).expect("parse GET");
-            let _ = hit.execute(&store);
-            let miss = Command::parse("GET never-set").expect("parse GET");
+            let hit = format!("GET {key}");
+            let _ = CommandRef::parse(&hit).expect("parse GET").execute(&store);
+            let miss = CommandRef::parse("GET never-set").expect("parse GET");
             let _ = miss.execute(&store);
         }
     }

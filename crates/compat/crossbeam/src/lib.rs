@@ -322,9 +322,9 @@ pub mod channel {
             // Regression: a queued message may own the only Sender of a
             // reply channel. A send that lands just before the receiver
             // is dropped must not strand the replier forever (observed
-            // as a deadlock in KvServer shutdown: the worker drops its
-            // rx after SHUTDOWN while a racing request has already
-            // enqueued its reply sender).
+            // as a deadlock when a channel-fed worker shut down: it
+            // drops its rx while a racing request has already enqueued
+            // its reply sender).
             let (tx, rx) = unbounded();
             let (reply_tx, reply_rx) = bounded::<u8>(1);
             assert!(tx.send(reply_tx).is_ok());

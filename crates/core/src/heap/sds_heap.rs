@@ -34,11 +34,6 @@ struct SpanEntry {
     generation: u64,
     drop_fn: Option<DropFn>,
     len: usize,
-    /// Write epoch, mirrored from the slab slots (see `SlotMeta`).
-    /// Spans are never read optimistically (their memory is really
-    /// deallocated on free), but writers still bump it so the epoch
-    /// discipline is uniform across allocation kinds.
-    write_epoch: u32,
 }
 
 /// Result of freeing one allocation.
@@ -344,7 +339,6 @@ impl SdsHeap {
             generation: gen,
             drop_fn,
             len,
-            write_epoch: 0,
         }));
         self.held_pages += pages;
         self.live_bytes += len;
@@ -369,56 +363,6 @@ impl SdsHeap {
             (PageEntry::Slab(e), AllocKind::Slab) => e.page.resolve(raw.slot, raw.generation),
             (PageEntry::Span(e), AllocKind::Span) => {
                 if e.generation == raw.generation {
-                    Ok((e.span.as_ptr(), e.len))
-                } else {
-                    Err(SoftError::Revoked)
-                }
-            }
-            (PageEntry::Vacant, _) => Err(SoftError::Revoked),
-            _ => Err(SoftError::Revoked),
-        }
-    }
-
-    /// Like [`SdsHeap::resolve`], additionally returning the write epoch
-    /// the optimistic read path validates against. Only slab handles
-    /// support lock-free reads; the SMA routes span handles to the
-    /// locked path (span memory is truly deallocated on free, so an
-    /// optimistic copy could touch unmapped bytes).
-    pub fn resolve_for_read(&self, raw: RawHandle) -> SoftResult<(*mut u8, usize, u32)> {
-        let entry = self
-            .pages
-            .get(raw.page as usize)
-            .ok_or(SoftError::InvalidHandle)?;
-        match (entry, raw.kind) {
-            (PageEntry::Slab(e), AllocKind::Slab) => {
-                e.page.resolve_for_read(raw.slot, raw.generation)
-            }
-            (PageEntry::Span(e), AllocKind::Span) => {
-                if e.generation == raw.generation {
-                    Ok((e.span.as_ptr(), e.len, e.write_epoch))
-                } else {
-                    Err(SoftError::Revoked)
-                }
-            }
-            (PageEntry::Vacant, _) => Err(SoftError::Revoked),
-            _ => Err(SoftError::Revoked),
-        }
-    }
-
-    /// Like [`SdsHeap::resolve`] for writers: bumps the allocation's
-    /// write epoch so concurrent optimistic readers retry.
-    pub fn resolve_for_write(&mut self, raw: RawHandle) -> SoftResult<(*mut u8, usize)> {
-        let entry = self
-            .pages
-            .get_mut(raw.page as usize)
-            .ok_or(SoftError::InvalidHandle)?;
-        match (entry, raw.kind) {
-            (PageEntry::Slab(e), AllocKind::Slab) => {
-                e.page.resolve_for_write(raw.slot, raw.generation)
-            }
-            (PageEntry::Span(e), AllocKind::Span) => {
-                if e.generation == raw.generation {
-                    e.write_epoch = e.write_epoch.wrapping_add(1);
                     Ok((e.span.as_ptr(), e.len))
                 } else {
                     Err(SoftError::Revoked)

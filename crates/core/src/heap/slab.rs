@@ -23,12 +23,6 @@ struct SlotMeta {
     drop_fn: Option<DropFn>,
     /// Requested length of the occupying allocation in bytes.
     len: u32,
-    /// Write epoch of the occupying allocation: bumped by every
-    /// writer-path resolution ([`SlabPage::resolve_for_write`]).
-    /// Monotonic (mod 2³²) per slot lifetime — the proptest campaign
-    /// asserts writers never observe it regress, and it remains the
-    /// cheap "was this mutated" probe for diagnostics.
-    write_epoch: u32,
     /// SMR epoch the slot was retired at, valid while the slot sits on
     /// the limbo list (see [`SlabPage::free_deferred`]). Limbo slots
     /// have `generation == 0` (handles are already revoked) but keep
@@ -62,7 +56,6 @@ impl SlabPage {
                 next_free: if i + 1 < n { (i + 1) as u16 } else { NO_SLOT },
                 drop_fn: None,
                 len: 0,
-                write_epoch: 0,
                 retire_epoch: 0,
             });
         }
@@ -143,43 +136,6 @@ impl SlabPage {
             return Err(SoftError::Revoked);
         }
         Ok((self.slot_ptr(slot), meta.len as usize))
-    }
-
-    /// Like [`SlabPage::resolve`], additionally returning the slot's
-    /// current write epoch for optimistic-read validation.
-    pub fn resolve_for_read(
-        &self,
-        slot: u16,
-        generation: u64,
-    ) -> SoftResult<(*mut u8, usize, u32)> {
-        let meta = self
-            .slots
-            .get(slot as usize)
-            .ok_or(SoftError::InvalidHandle)?;
-        if meta.generation == 0 || meta.generation != generation {
-            return Err(SoftError::Revoked);
-        }
-        Ok((self.slot_ptr(slot), meta.len as usize, meta.write_epoch))
-    }
-
-    /// Like [`SlabPage::resolve`] for writers: bumps the slot's write
-    /// epoch so in-flight optimistic readers observe the mutation and
-    /// retry instead of returning a torn copy.
-    pub fn resolve_for_write(
-        &mut self,
-        slot: u16,
-        generation: u64,
-    ) -> SoftResult<(*mut u8, usize)> {
-        let meta = self
-            .slots
-            .get_mut(slot as usize)
-            .ok_or(SoftError::InvalidHandle)?;
-        if meta.generation == 0 || meta.generation != generation {
-            return Err(SoftError::Revoked);
-        }
-        meta.write_epoch = meta.write_epoch.wrapping_add(1);
-        let len = meta.len as usize;
-        Ok((self.slot_ptr(slot), len))
     }
 
     /// Frees a slot, optionally running its destructor.
@@ -442,28 +398,6 @@ mod tests {
         assert_eq!(slot2, slot, "LIFO free list reuses the slot");
         assert_eq!(page.resolve(slot, 7).unwrap_err(), SoftError::Revoked);
         assert!(page.resolve(slot, 9).is_ok());
-    }
-
-    #[test]
-    fn write_resolution_bumps_epoch() {
-        let mut page = page_of(64);
-        let slot = page.alloc(5, 16, None).unwrap();
-        let (_, _, e0) = page.resolve_for_read(slot, 5).unwrap();
-        page.resolve_for_write(slot, 5).unwrap();
-        let (_, _, e1) = page.resolve_for_read(slot, 5).unwrap();
-        assert_ne!(e0, e1, "writer resolution must change the epoch");
-        // Read-path resolution leaves it alone.
-        let (_, _, e2) = page.resolve_for_read(slot, 5).unwrap();
-        assert_eq!(e1, e2);
-        // Stale generations fail on both paths.
-        assert_eq!(
-            page.resolve_for_read(slot, 6).unwrap_err(),
-            SoftError::Revoked
-        );
-        assert_eq!(
-            page.resolve_for_write(slot, 6).unwrap_err(),
-            SoftError::Revoked
-        );
     }
 
     #[test]

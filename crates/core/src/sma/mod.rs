@@ -1186,21 +1186,21 @@ impl Sma {
         Ok(f(bytes))
     }
 
-    /// Mutates the bytes of an allocation. Runs under the shard lock
-    /// and bumps the slot's write epoch; if any SMR read guard is
-    /// active the writer first waits out the grace period, so a
-    /// guarded zero-copy reader never observes a torn buffer.
+    /// Mutates the bytes of an allocation. Runs under the shard lock;
+    /// if any SMR read guard is active the writer first waits out the
+    /// grace period, so a guarded zero-copy reader never observes a
+    /// torn buffer.
     pub fn with_bytes_mut<R>(
         &self,
         handle: &SoftHandle,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> SoftResult<R> {
         let shard = self.shard(handle.raw.sds)?;
-        let mut st = shard.state.lock();
+        let st = shard.state.lock();
         if st.dead {
             return Err(SoftError::UnknownSds(handle.raw.sds));
         }
-        let (ptr, len) = st.heap.resolve_for_write(handle.raw)?;
+        let (ptr, len) = st.heap.resolve(handle.raw)?;
         self.synchronize_readers();
         // SAFETY: the slot is live and `len` bytes long; exclusivity
         // holds because handles are unique, the shard lock blocks all
@@ -1275,20 +1275,19 @@ impl Sma {
         Ok(result)
     }
 
-    /// Mutates a typed value. Runs under the shard lock, waits out any
-    /// guarded readers, and bumps the slot's write epoch (see
-    /// [`Sma::with_bytes_mut`]).
+    /// Mutates a typed value. Runs under the shard lock and waits out
+    /// any guarded readers (see [`Sma::with_bytes_mut`]).
     pub fn with_value_mut<T, R>(
         &self,
         slot: &mut SoftSlot<T>,
         f: impl FnOnce(&mut T) -> R,
     ) -> SoftResult<R> {
         let shard = self.shard(slot.raw.sds)?;
-        let mut st = shard.state.lock();
+        let st = shard.state.lock();
         if st.dead {
             return Err(SoftError::UnknownSds(slot.raw.sds));
         }
-        let (ptr, _) = st.heap.resolve_for_write(slot.raw)?;
+        let (ptr, _) = st.heap.resolve(slot.raw)?;
         self.synchronize_readers();
         // SAFETY: live slot holding an initialised `T` (written by
         // `alloc_value`); `&mut` exclusivity per `with_bytes_mut`.

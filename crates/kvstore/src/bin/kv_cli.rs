@@ -8,8 +8,7 @@
 
 use std::io::{BufRead, Write};
 
-use softmem_kv::server::TcpKvClient;
-use softmem_kv::Response;
+use softmem_kv::{Response, TcpKvClient};
 
 fn print_reply(reply: &Response) {
     match reply {

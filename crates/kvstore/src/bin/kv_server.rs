@@ -6,16 +6,17 @@
 //! `--shards N` splits the keyspace over N independent engine threads
 //! (one SDS and one worker each), the shard-per-core deployment shape.
 //!
-//! Two network frontends (DESIGN.md §network-plane):
+//! There is one network plane (DESIGN.md §3.4): a small pool of epoll
+//! reactors multiplexes every client socket, frames and hash-routes
+//! requests to per-shard SPSC rings, and shard workers execute them in
+//! batches — thousands of idle or slow connections without a thread
+//! each. `--reactors N` sizes the pool (0 = auto). Linux only.
 //!
-//! * `--frontend reactor` (default on Linux) — the event-driven plane:
-//!   a small pool of epoll reactors multiplexes every client socket,
-//!   frames and hash-routes requests to per-shard SPSC rings, and shard
-//!   workers execute them in batches. Scales to thousands of idle or
-//!   slow connections without a thread each. `--reactors N` sizes the
-//!   pool (0 = auto).
-//! * `--frontend threads` — the legacy thread-per-connection loop,
-//!   kept as a baseline and for non-Linux builds.
+//! Flags (each takes one value): `--budget-mib`, `--shards`,
+//! `--listen`, `--reactors`, `--smd-socket`, `--idle-timeout-ms`,
+//! `--write-stall-timeout-ms`, `--shed-inflight`,
+//! `--accept-pause-inflight`. An unknown flag or a value that does not
+//! parse is an error (exit 2), never a silent default.
 //!
 //! ```sh
 //! cargo run --release -p softmem-kv --bin kv_server -- --budget-mib 64 --shards 4
@@ -23,156 +24,144 @@
 //! cargo run --release -p softmem-kv --bin kv_cli -- 127.0.0.1:<port>
 //! ```
 
-use std::sync::Arc;
-
-use softmem_core::{bytes_to_pages, Priority, Sma, SmaConfig};
-use softmem_daemon::uds::UdsProcess;
-use softmem_kv::ShardedStore;
-
+#[cfg(not(target_os = "linux"))]
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let budget_mib: usize = arg("--budget-mib")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let shards: usize = arg("--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let addr = arg("--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let frontend = arg("--frontend").unwrap_or_else(|| {
-        if cfg!(target_os = "linux") {
-            "reactor".to_string()
-        } else {
-            "threads".to_string()
-        }
-    });
-    let reactors: usize = arg("--reactors").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let net = NetOpts {
-        idle_timeout_ms: arg("--idle-timeout-ms").and_then(|v| v.parse().ok()),
-        write_stall_timeout_ms: arg("--write-stall-timeout-ms").and_then(|v| v.parse().ok()),
-        shed_inflight: arg("--shed-inflight").and_then(|v| v.parse().ok()),
-        accept_pause_inflight: arg("--accept-pause-inflight").and_then(|v| v.parse().ok()),
-    };
-
-    // Two modes: a fixed standalone budget, or membership of a
-    // machine-wide daemon (multiple kv_server processes then share
-    // soft memory, reclaiming from each other under pressure).
-    let (_daemon_membership, sma) = match arg("--smd-socket") {
-        Some(socket) => {
-            let proc = UdsProcess::connect(&socket, "kv-server", SmaConfig::for_testing(0))
-                .expect("connect to the soft memory daemon");
-            println!("joined soft memory daemon at {socket}");
-            let sma = Arc::clone(proc.sma());
-            (Some(proc), sma)
-        }
-        None => (
-            None,
-            Sma::with_config(SmaConfig::for_testing(bytes_to_pages(
-                budget_mib * 1024 * 1024,
-            ))),
-        ),
-    };
-    let engine = ShardedStore::new(&sma, "keyspace", Priority::new(4), shards);
-
-    match frontend.as_str() {
-        "reactor" => run_reactor(&addr, engine, reactors, budget_mib, shards, net),
-        "threads" => run_threads(&addr, engine, budget_mib, shards, net),
-        other => {
-            eprintln!("unknown --frontend {other:?} (expected 'reactor' or 'threads')");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Fault-plane knobs shared by both frontends (all off by default):
-/// connection deadlines and overload admission control.
-#[derive(Clone, Copy, Default)]
-struct NetOpts {
-    idle_timeout_ms: Option<u64>,
-    write_stall_timeout_ms: Option<u64>,
-    shed_inflight: Option<u64>,
-    accept_pause_inflight: Option<u64>,
-}
-
-fn banner(local: std::net::SocketAddr, frontend: &str, budget_mib: usize, shards: usize) {
-    println!(
-        "softmem-kv listening on {local} ({frontend} frontend, soft budget {budget_mib} MiB, {shards} shard{})",
-        if shards == 1 { "" } else { "s" }
-    );
-    println!("commands: GET SET DEL EXISTS DBSIZE KEYS MGET INCR INCRBY APPEND PEXPIRE PTTL PERSIST INFO STATS SHED FLUSHALL SHUTDOWN");
+    eprintln!("kv_server requires Linux epoll");
+    std::process::exit(2);
 }
 
 #[cfg(target_os = "linux")]
-fn run_reactor(
-    addr: &str,
-    engine: ShardedStore,
-    reactors: usize,
-    budget_mib: usize,
-    shards: usize,
-    net: NetOpts,
-) {
-    use softmem_kv::{ReactorConfig, ReactorFrontend};
-    use std::time::Duration;
-
-    let cfg = ReactorConfig {
-        reactors,
-        idle_timeout: net.idle_timeout_ms.map(Duration::from_millis),
-        write_stall_timeout: net.write_stall_timeout_ms.map(Duration::from_millis),
-        overload_shed_inflight: net.shed_inflight,
-        overload_accept_inflight: net.accept_pause_inflight,
-        ..ReactorConfig::default()
-    };
-    let frontend = ReactorFrontend::bind(addr, Arc::new(engine), cfg).expect("bind listen address");
-    banner(frontend.addr(), "reactor", budget_mib, shards);
-
-    // The reactors and shard workers do all the work; the main thread
-    // just waits for a client to issue SHUTDOWN.
-    let stats = frontend.stats();
-    while !stats
-        .shutdown_requested
-        .load(std::sync::atomic::Ordering::Acquire)
-    {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    drop(frontend); // flush + join reactors and workers before exiting
+fn main() {
+    linux::main()
 }
 
-#[cfg(not(target_os = "linux"))]
-fn run_reactor(
-    addr: &str,
-    engine: ShardedStore,
-    _reactors: usize,
-    budget_mib: usize,
-    shards: usize,
-    net: NetOpts,
-) {
-    eprintln!("reactor frontend requires Linux epoll; falling back to threads");
-    run_threads(addr, engine, budget_mib, shards, net);
-}
-
-fn run_threads(addr: &str, engine: ShardedStore, budget_mib: usize, shards: usize, net: NetOpts) {
-    use softmem_kv::{FrontendOpts, KvServer, TcpFrontend};
+#[cfg(target_os = "linux")]
+mod linux {
     use std::time::Duration;
 
-    let server = KvServer::start_sharded(engine);
-    let handle = server.handle();
-    let opts = FrontendOpts {
-        idle_timeout: net.idle_timeout_ms.map(Duration::from_millis),
-        ..FrontendOpts::default()
-    };
-    let frontend = TcpFrontend::bind_with(addr, handle.clone(), opts).expect("bind listen address");
-    banner(frontend.addr(), "threads", budget_mib, shards);
-
-    // The frontend's accept loop and connection threads do the work;
-    // the main thread just waits for SHUTDOWN to stop the engine.
-    while handle.request("PING").is_ok() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
+    pub fn main() {
+        match Opts::parse(std::env::args().skip(1)) {
+            Ok(opts) => serve(opts),
+            Err(msg) => {
+                eprintln!("kv_server: {msg}");
+                std::process::exit(2);
+            }
+        }
     }
-    drop(frontend); // hang up on in-flight connections and join them
+
+    /// The command line, checked where it enters: every field holds a
+    /// parsed value or its default.
+    struct Opts {
+        budget_mib: usize,
+        shards: usize,
+        listen: String,
+        reactors: usize,
+        smd_socket: Option<String>,
+        // Fault-plane knobs (all off by default): connection deadlines
+        // and overload admission control.
+        idle_timeout: Option<Duration>,
+        write_stall_timeout: Option<Duration>,
+        shed_inflight: Option<u64>,
+        accept_pause_inflight: Option<u64>,
+    }
+
+    impl Opts {
+        fn parse(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+            fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+                value
+                    .parse()
+                    .map_err(|_| format!("{flag}: {value:?} is not a number"))
+            }
+            let mut opts = Opts {
+                budget_mib: 64,
+                shards: 1,
+                listen: "127.0.0.1:0".to_string(),
+                reactors: 0,
+                smd_socket: None,
+                idle_timeout: None,
+                write_stall_timeout: None,
+                shed_inflight: None,
+                accept_pause_inflight: None,
+            };
+            while let Some(flag) = args.next() {
+                let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+                match flag.as_str() {
+                    "--budget-mib" => opts.budget_mib = num(&flag, &value()?)?,
+                    "--shards" => opts.shards = num::<usize>(&flag, &value()?)?.max(1),
+                    "--listen" => opts.listen = value()?,
+                    "--reactors" => opts.reactors = num(&flag, &value()?)?,
+                    "--smd-socket" => opts.smd_socket = Some(value()?),
+                    "--idle-timeout-ms" => {
+                        opts.idle_timeout = Some(Duration::from_millis(num(&flag, &value()?)?))
+                    }
+                    "--write-stall-timeout-ms" => {
+                        opts.write_stall_timeout =
+                            Some(Duration::from_millis(num(&flag, &value()?)?))
+                    }
+                    "--shed-inflight" => opts.shed_inflight = Some(num(&flag, &value()?)?),
+                    "--accept-pause-inflight" => {
+                        opts.accept_pause_inflight = Some(num(&flag, &value()?)?)
+                    }
+                    other => return Err(format!("unknown flag {other:?}")),
+                }
+            }
+            Ok(opts)
+        }
+    }
+
+    fn serve(opts: Opts) {
+        use std::sync::atomic::Ordering;
+        use std::sync::Arc;
+
+        use softmem_core::{bytes_to_pages, Priority, Sma, SmaConfig};
+        use softmem_daemon::uds::UdsProcess;
+        use softmem_kv::{ReactorConfig, ReactorFrontend, ShardedStore};
+
+        // Two modes: a fixed standalone budget, or membership of a
+        // machine-wide daemon (multiple kv_server processes then share
+        // soft memory, reclaiming from each other under pressure).
+        let (_daemon_membership, sma) = match &opts.smd_socket {
+            Some(socket) => {
+                let proc = UdsProcess::connect(socket, "kv-server", SmaConfig::for_testing(0))
+                    .expect("connect to the soft memory daemon");
+                println!("joined soft memory daemon at {socket}");
+                let sma = Arc::clone(proc.sma());
+                (Some(proc), sma)
+            }
+            None => (
+                None,
+                Sma::with_config(SmaConfig::for_testing(bytes_to_pages(
+                    opts.budget_mib * 1024 * 1024,
+                ))),
+            ),
+        };
+        let engine = ShardedStore::new(&sma, "keyspace", Priority::new(4), opts.shards);
+
+        let cfg = ReactorConfig {
+            reactors: opts.reactors,
+            idle_timeout: opts.idle_timeout,
+            write_stall_timeout: opts.write_stall_timeout,
+            overload_shed_inflight: opts.shed_inflight,
+            overload_accept_inflight: opts.accept_pause_inflight,
+            ..ReactorConfig::default()
+        };
+        let frontend = ReactorFrontend::bind(&opts.listen, Arc::new(engine), cfg)
+            .expect("bind listen address");
+        println!(
+            "softmem-kv listening on {} (reactor frontend, soft budget {} MiB, {} shard{})",
+            frontend.addr(),
+            opts.budget_mib,
+            opts.shards,
+            if opts.shards == 1 { "" } else { "s" }
+        );
+        println!("commands: GET SET DEL EXISTS DBSIZE KEYS MGET INCR INCRBY APPEND PEXPIRE PTTL PERSIST INFO STATS SHED FLUSHALL SHUTDOWN");
+
+        // The reactors and shard workers do all the work; the main
+        // thread just waits for a client to issue SHUTDOWN.
+        let stats = frontend.stats();
+        while !stats.shutdown_requested.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        drop(frontend); // flush + join reactors and workers before exiting
+    }
 }

@@ -6,16 +6,19 @@
 //! that the reclamation callback cleans up (§5). This crate is the
 //! from-scratch substitute for that patched Redis (DESIGN.md §2):
 //!
-//! * [`Store`] — the single-threaded command engine: a soft-memory hash
-//!   table of entries whose key/value buffers live on the traditional
-//!   heap and are released when an entry is reclaimed. A reclaimed key
-//!   simply reads as *not found*, and "in a caching setup, the client
-//!   would re-fetch these entries from a database".
+//! * [`Store`] — the command engine: a soft-memory hash table of
+//!   entries whose key/value buffers live on the traditional heap and
+//!   are released when an entry is reclaimed. A reclaimed key simply
+//!   reads as *not found*, and "in a caching setup, the client would
+//!   re-fetch these entries from a database". [`ShardedStore`]
+//!   hash-partitions the keyspace over several of them;
+//!   [`ShardedStore::execute`] runs one request line against it.
 //! * [`protocol`] — a line-oriented command protocol (`SET`/`GET`/…)
 //!   with Redis-flavoured replies.
-//! * [`server`] — an in-process server (command channel + worker
-//!   thread, mirroring Redis's single-threaded event loop) and a TCP
-//!   front-end over the same engine.
+//! * `reactor` (Linux) — the one serving plane: epoll reactors frame
+//!   requests and hash-route them over SPSC rings to one worker per
+//!   shard, which calls [`ShardedStore::execute`]. `kv_server` is this
+//!   behind a TCP port; [`client`] is the blocking client for it.
 //! * [`crash`] — the no-soft-memory baseline: a store that is killed
 //!   under memory pressure and restarts cold (≥ 12 ms downtime plus a
 //!   refill period of elevated misses, §5).
@@ -38,24 +41,24 @@
 //! assert_eq!(store.get(b"user:1"), None);
 //! ```
 
+pub mod client;
 pub mod crash;
 mod metrics;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 pub mod reactor;
-pub mod server;
 mod sharded;
 mod store;
 #[cfg(target_os = "linux")]
 pub mod swarm;
 
+pub use client::TcpKvClient;
 pub use metrics::StoreMetrics;
-pub use protocol::{Command, CommandRef, Response};
+pub use protocol::{CommandRef, Response};
 #[cfg(target_os = "linux")]
 pub use reactor::{
     NetMetrics, NetStats, ReactorConfig, ReactorFrontend, RealSysIo, SysIo, WorkerHook,
 };
-pub use server::{FrontendOpts, KvHandle, KvServer, TcpFrontend, TcpKvClient};
 pub use sharded::ShardedStore;
 pub use store::{ReclaimCostModel, Store, StoreStats, Ttl};
 #[cfg(target_os = "linux")]

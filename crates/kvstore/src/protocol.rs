@@ -17,103 +17,12 @@
 //! * **Parsing/execution** ([`CommandRef::parse`]) — the borrowed-slice
 //!   parse that shard workers run; key/value slices borrow straight
 //!   from the frame, and [`CommandRef::execute`] runs against a store.
-//!   The owned [`Command`] remains as the allocation-friendly form the
-//!   in-process router and tests use.
+//!
+//! There is one command type ([`CommandRef`]) and one reply encoder
+//! ([`Response::encode_into`], binary-safe); in-process callers reach
+//! the same path through [`crate::ShardedStore::execute`].
 
 use crate::store::Store;
-
-/// A parsed client command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
-    /// `PING` → `+PONG`.
-    Ping,
-    /// `SET key value` → `+OK`.
-    Set {
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Value bytes (remainder of the line).
-        value: Vec<u8>,
-    },
-    /// `GET key` → `$value` or `$-1` (miss).
-    Get {
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-    /// `DEL key` → `:1`/`:0`.
-    Del {
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-    /// `EXISTS key` → `:1`/`:0`.
-    Exists {
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-    /// `DBSIZE` → `:n`.
-    DbSize,
-    /// `FLUSHALL` → `+OK`.
-    FlushAll,
-    /// `KEYS prefix` (empty prefix lists all) → `*n` + keys.
-    Keys {
-        /// Required key prefix.
-        prefix: Vec<u8>,
-    },
-    /// `INFO` → `$<multi-line stats>`.
-    Info,
-    /// `SHED bytes` → `:freed` (voluntary soft-memory scale-down).
-    Shed {
-        /// Bytes to give up.
-        bytes: usize,
-    },
-    /// `INCR key` / `INCRBY key n` → `:new-value`.
-    IncrBy {
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Signed delta.
-        delta: i64,
-    },
-    /// `APPEND key value` → `:new-length`.
-    Append {
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Bytes to append.
-        value: Vec<u8>,
-    },
-    /// `PEXPIRE key ms` → `:1`/`:0`.
-    PExpire {
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Time to live in milliseconds.
-        ms: u64,
-    },
-    /// `PTTL key` → remaining ms, `:-1` (no expiry) or `:-2` (no key).
-    PTtl {
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-    /// `PERSIST key` → `:1`/`:0`.
-    Persist {
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-    /// `SETNX key value` → `:1` (stored) / `:0` (already present).
-    SetNx {
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Value bytes.
-        value: Vec<u8>,
-    },
-    /// `MGET key…` → `*n` with one element per key (`(nil)` for a
-    /// miss).
-    MGet {
-        /// Keys, position-matched in the reply.
-        keys: Vec<Vec<u8>>,
-    },
-    /// `STATS` → `$<telemetry JSON snapshot>` (single line).
-    Stats,
-    /// `SHUTDOWN` → `+OK` and the server exits.
-    Shutdown,
-}
 
 /// A server reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,11 +39,9 @@ pub enum Response {
     Error(String),
 }
 
-/// A parsed command whose key/value fields borrow straight from the
-/// request frame. Shard workers parse and execute this form — no
-/// per-request key/value allocation, only the reply itself. [`Command`]
-/// is the owned mirror; convert with [`CommandRef::to_owned`] and
-/// [`Command::as_ref`].
+/// A parsed client command whose key/value fields borrow straight
+/// from the request frame. Shard workers parse and execute this form —
+/// no per-request key/value allocation, only the reply itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommandRef<'a> {
     /// `PING` → `+PONG`.
@@ -229,10 +136,7 @@ pub enum CommandRef<'a> {
 impl<'a> CommandRef<'a> {
     /// Parses one request line without copying key or value bytes.
     pub fn parse(line: &'a str) -> Result<CommandRef<'a>, String> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        let mut parts = line.splitn(2, ' ');
-        let verb = parts.next().unwrap_or("");
-        let rest = parts.next().unwrap_or("");
+        let (verb, rest) = split_verb(line);
         // Uppercase the verb on the stack; every real verb fits, and
         // anything longer is by construction an unknown command.
         let mut up = [0u8; 12];
@@ -377,50 +281,6 @@ impl<'a> CommandRef<'a> {
         }
     }
 
-    /// Deep-copies into the owned mirror.
-    pub fn to_owned(&self) -> Command {
-        match self {
-            CommandRef::Ping => Command::Ping,
-            CommandRef::Set { key, value } => Command::Set {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-            CommandRef::Get { key } => Command::Get { key: key.to_vec() },
-            CommandRef::Del { key } => Command::Del { key: key.to_vec() },
-            CommandRef::Exists { key } => Command::Exists { key: key.to_vec() },
-            CommandRef::DbSize => Command::DbSize,
-            CommandRef::FlushAll => Command::FlushAll,
-            CommandRef::Keys { prefix } => Command::Keys {
-                prefix: prefix.to_vec(),
-            },
-            CommandRef::Info => Command::Info,
-            CommandRef::Shed { bytes } => Command::Shed { bytes: *bytes },
-            CommandRef::IncrBy { key, delta } => Command::IncrBy {
-                key: key.to_vec(),
-                delta: *delta,
-            },
-            CommandRef::Append { key, value } => Command::Append {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-            CommandRef::PExpire { key, ms } => Command::PExpire {
-                key: key.to_vec(),
-                ms: *ms,
-            },
-            CommandRef::PTtl { key } => Command::PTtl { key: key.to_vec() },
-            CommandRef::Persist { key } => Command::Persist { key: key.to_vec() },
-            CommandRef::SetNx { key, value } => Command::SetNx {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-            CommandRef::MGet { keys } => Command::MGet {
-                keys: keys.iter().map(|k| k.to_vec()).collect(),
-            },
-            CommandRef::Stats => Command::Stats,
-            CommandRef::Shutdown => Command::Shutdown,
-        }
-    }
-
     /// Executes against a store. (`Shutdown` is handled by the server
     /// loop; here it just acknowledges.)
     pub fn execute(&self, store: &Store) -> Response {
@@ -494,45 +354,13 @@ impl<'a> CommandRef<'a> {
     }
 }
 
-impl Command {
-    /// Parses one request line (owned form; delegates to
-    /// [`CommandRef::parse`]).
-    pub fn parse(line: &str) -> Result<Command, String> {
-        CommandRef::parse(line).map(|c| c.to_owned())
-    }
-
-    /// Borrows this command as a [`CommandRef`].
-    pub fn as_ref(&self) -> CommandRef<'_> {
-        match self {
-            Command::Ping => CommandRef::Ping,
-            Command::Set { key, value } => CommandRef::Set { key, value },
-            Command::Get { key } => CommandRef::Get { key },
-            Command::Del { key } => CommandRef::Del { key },
-            Command::Exists { key } => CommandRef::Exists { key },
-            Command::DbSize => CommandRef::DbSize,
-            Command::FlushAll => CommandRef::FlushAll,
-            Command::Keys { prefix } => CommandRef::Keys { prefix },
-            Command::Info => CommandRef::Info,
-            Command::Shed { bytes } => CommandRef::Shed { bytes: *bytes },
-            Command::IncrBy { key, delta } => CommandRef::IncrBy { key, delta: *delta },
-            Command::Append { key, value } => CommandRef::Append { key, value },
-            Command::PExpire { key, ms } => CommandRef::PExpire { key, ms: *ms },
-            Command::PTtl { key } => CommandRef::PTtl { key },
-            Command::Persist { key } => CommandRef::Persist { key },
-            Command::SetNx { key, value } => CommandRef::SetNx { key, value },
-            Command::MGet { keys } => CommandRef::MGet {
-                keys: keys.iter().map(|k| k.as_slice()).collect(),
-            },
-            Command::Stats => CommandRef::Stats,
-            Command::Shutdown => CommandRef::Shutdown,
-        }
-    }
-
-    /// Executes against a store. (`Shutdown` is handled by the server
-    /// loop; here it just acknowledges.)
-    pub fn execute(&self, store: &Store) -> Response {
-        self.as_ref().execute(store)
-    }
+/// Splits a request line (terminator trimmed) at its first space into
+/// the verb and the rest — the one place that says where a verb ends,
+/// for [`CommandRef::parse`] and for the network plane's peek at the
+/// verbs it acts on itself.
+pub(crate) fn split_verb(line: &str) -> (&str, &str) {
+    let line = line.trim_end_matches(['\r', '\n']);
+    line.split_once(' ').unwrap_or((line, ""))
 }
 
 /// Finds the next complete request line in `buf`: returns the frame
@@ -638,30 +466,9 @@ pub(crate) fn render_stats(store: &Store) -> String {
 }
 
 impl Response {
-    /// Encodes the reply as protocol text (always ends with `\n`).
-    pub fn encode(&self) -> String {
-        match self {
-            Response::Ok(s) => format!("+{s}\n"),
-            Response::Bulk(None) => "$-1\n".into(),
-            Response::Bulk(Some(v)) => format!("${}\n", String::from_utf8_lossy(v)),
-            Response::Int(n) => format!(":{n}\n"),
-            Response::Array(items) => {
-                let mut out = format!("*{}\n", items.len());
-                for item in items {
-                    out.push_str(&String::from_utf8_lossy(item));
-                    out.push('\n');
-                }
-                out
-            }
-            Response::Error(msg) => format!("-ERR {msg}\n"),
-        }
-    }
-
-    /// Encodes the reply directly into `out` as raw bytes (always
-    /// ends with `\n`). Unlike [`encode`](Self::encode) this never
-    /// routes bulk payloads through lossy UTF-8 conversion, so
-    /// binary-safe values survive; for valid-UTF-8 payloads the two
-    /// encodings are byte-identical.
+    /// Appends the encoded reply to `out` as raw bytes (always ends
+    /// with `\n`). Bulk and array payloads are copied untouched, so
+    /// values that are not valid UTF-8 survive the wire.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         use std::io::Write as _;
         match self {
@@ -744,71 +551,69 @@ mod tests {
 
     #[test]
     fn parse_basic_commands() {
-        assert_eq!(Command::parse("PING").unwrap(), Command::Ping);
+        assert_eq!(CommandRef::parse("PING").unwrap(), CommandRef::Ping);
         assert_eq!(
-            Command::parse("SET k hello world").unwrap(),
-            Command::Set {
-                key: b"k".to_vec(),
-                value: b"hello world".to_vec()
+            CommandRef::parse("SET k hello world").unwrap(),
+            CommandRef::Set {
+                key: b"k",
+                value: b"hello world"
             }
         );
         assert_eq!(
-            Command::parse("get k\r\n").unwrap(),
-            Command::Get { key: b"k".to_vec() }
+            CommandRef::parse("get k\r\n").unwrap(),
+            CommandRef::Get { key: b"k" }
         );
-        assert_eq!(Command::parse("DBSIZE").unwrap(), Command::DbSize);
+        assert_eq!(CommandRef::parse("DBSIZE").unwrap(), CommandRef::DbSize);
         assert_eq!(
-            Command::parse("KEYS user:").unwrap(),
-            Command::Keys {
-                prefix: b"user:".to_vec()
-            }
+            CommandRef::parse("KEYS user:").unwrap(),
+            CommandRef::Keys { prefix: b"user:" }
         );
         assert_eq!(
-            Command::parse("SHED 4096").unwrap(),
-            Command::Shed { bytes: 4096 }
+            CommandRef::parse("SHED 4096").unwrap(),
+            CommandRef::Shed { bytes: 4096 }
         );
     }
 
     #[test]
     fn parse_new_commands() {
         assert_eq!(
-            Command::parse("INCR n").unwrap(),
-            Command::IncrBy {
-                key: b"n".to_vec(),
+            CommandRef::parse("INCR n").unwrap(),
+            CommandRef::IncrBy {
+                key: b"n",
                 delta: 1
             }
         );
         assert_eq!(
-            Command::parse("INCRBY n -5").unwrap(),
-            Command::IncrBy {
-                key: b"n".to_vec(),
+            CommandRef::parse("INCRBY n -5").unwrap(),
+            CommandRef::IncrBy {
+                key: b"n",
                 delta: -5
             }
         );
         assert_eq!(
-            Command::parse("APPEND k tail text").unwrap(),
-            Command::Append {
-                key: b"k".to_vec(),
-                value: b"tail text".to_vec()
+            CommandRef::parse("APPEND k tail text").unwrap(),
+            CommandRef::Append {
+                key: b"k",
+                value: b"tail text"
             }
         );
         assert_eq!(
-            Command::parse("PEXPIRE k 1500").unwrap(),
-            Command::PExpire {
-                key: b"k".to_vec(),
+            CommandRef::parse("PEXPIRE k 1500").unwrap(),
+            CommandRef::PExpire {
+                key: b"k",
                 ms: 1500
             }
         );
         assert_eq!(
-            Command::parse("PTTL k").unwrap(),
-            Command::PTtl { key: b"k".to_vec() }
+            CommandRef::parse("PTTL k").unwrap(),
+            CommandRef::PTtl { key: b"k" }
         );
         assert_eq!(
-            Command::parse("PERSIST k").unwrap(),
-            Command::Persist { key: b"k".to_vec() }
+            CommandRef::parse("PERSIST k").unwrap(),
+            CommandRef::Persist { key: b"k" }
         );
-        assert!(Command::parse("INCRBY n lots").is_err());
-        assert!(Command::parse("PEXPIRE k").is_err());
+        assert!(CommandRef::parse("INCRBY n lots").is_err());
+        assert!(CommandRef::parse("PEXPIRE k").is_err());
     }
 
     #[test]
@@ -816,35 +621,37 @@ mod tests {
         let sma = Sma::standalone(64);
         let store = Store::new(&sma, "kv", Priority::default());
         assert_eq!(
-            Command::parse("INCR hits").unwrap().execute(&store),
+            CommandRef::parse("INCR hits").unwrap().execute(&store),
             Response::Int(1)
         );
         assert_eq!(
-            Command::parse("INCRBY hits 9").unwrap().execute(&store),
+            CommandRef::parse("INCRBY hits 9").unwrap().execute(&store),
             Response::Int(10)
         );
         assert_eq!(
-            Command::parse("APPEND log a").unwrap().execute(&store),
+            CommandRef::parse("APPEND log a").unwrap().execute(&store),
             Response::Int(1)
         );
         assert_eq!(
-            Command::parse("PTTL log").unwrap().execute(&store),
+            CommandRef::parse("PTTL log").unwrap().execute(&store),
             Response::Int(-1)
         );
         assert_eq!(
-            Command::parse("PEXPIRE log 60000").unwrap().execute(&store),
+            CommandRef::parse("PEXPIRE log 60000")
+                .unwrap()
+                .execute(&store),
             Response::Int(1)
         );
-        match Command::parse("PTTL log").unwrap().execute(&store) {
+        match CommandRef::parse("PTTL log").unwrap().execute(&store) {
             Response::Int(ms) => assert!((0..=60_000).contains(&ms)),
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(
-            Command::parse("PERSIST log").unwrap().execute(&store),
+            CommandRef::parse("PERSIST log").unwrap().execute(&store),
             Response::Int(1)
         );
         assert_eq!(
-            Command::parse("PTTL missing").unwrap().execute(&store),
+            CommandRef::parse("PTTL missing").unwrap().execute(&store),
             Response::Int(-2)
         );
     }
@@ -854,33 +661,35 @@ mod tests {
         let sma = Sma::standalone(64);
         let store = Store::new(&sma, "kv", Priority::default());
         assert_eq!(
-            Command::parse("SETNX lock holder-1")
+            CommandRef::parse("SETNX lock holder-1")
                 .unwrap()
                 .execute(&store),
             Response::Int(1)
         );
         assert_eq!(
-            Command::parse("SETNX lock holder-2")
+            CommandRef::parse("SETNX lock holder-2")
                 .unwrap()
                 .execute(&store),
             Response::Int(0)
         );
         store.set(b"a", b"1").unwrap();
         assert_eq!(
-            Command::parse("MGET a nope lock").unwrap().execute(&store),
+            CommandRef::parse("MGET a nope lock")
+                .unwrap()
+                .execute(&store),
             Response::Array(vec![b"1".to_vec(), b"(nil)".to_vec(), b"holder-1".to_vec()])
         );
-        assert!(Command::parse("MGET").is_err());
-        assert!(Command::parse("SETNX k").is_err());
+        assert!(CommandRef::parse("MGET").is_err());
+        assert!(CommandRef::parse("SETNX k").is_err());
     }
 
     #[test]
     fn parse_rejects_malformed() {
-        assert!(Command::parse("").is_err());
-        assert!(Command::parse("SET k").is_err());
-        assert!(Command::parse("GET").is_err());
-        assert!(Command::parse("SHED lots").is_err());
-        assert!(Command::parse("BANANA").is_err());
+        assert!(CommandRef::parse("").is_err());
+        assert!(CommandRef::parse("SET k").is_err());
+        assert!(CommandRef::parse("GET").is_err());
+        assert!(CommandRef::parse("SHED lots").is_err());
+        assert!(CommandRef::parse("BANANA").is_err());
     }
 
     #[test]
@@ -964,19 +773,15 @@ mod tests {
     }
 
     #[test]
-    fn command_ref_parse_borrows_and_converts() {
+    fn command_ref_parse_borrows_from_the_line() {
         let line = "SET user:1 alice in wonderland".to_string();
-        let cref = CommandRef::parse(&line).unwrap();
         assert_eq!(
-            cref,
+            CommandRef::parse(&line).unwrap(),
             CommandRef::Set {
                 key: b"user:1",
                 value: b"alice in wonderland"
             }
         );
-        let owned = cref.to_owned();
-        assert_eq!(owned, Command::parse(&line).unwrap());
-        assert_eq!(owned.as_ref(), cref);
         // Routing key of a multi-key command is None.
         assert_eq!(CommandRef::parse("MGET a b").unwrap().routing_key(), None);
         assert_eq!(
@@ -985,38 +790,53 @@ mod tests {
         );
     }
 
-    #[test]
-    fn encode_into_matches_encode_for_text() {
-        for resp in [
+    /// The reply as it goes on the wire.
+    fn wire(resp: &Response) -> Vec<u8> {
+        let mut raw = Vec::new();
+        resp.encode_into(&mut raw);
+        raw
+    }
+
+    fn every_reply_shape() -> [Response; 6] {
+        [
             Response::Ok("OK".into()),
             Response::Bulk(None),
             Response::Bulk(Some(b"value".to_vec())),
             Response::Int(-3),
             Response::Array(vec![b"a".to_vec(), b"b".to_vec()]),
             Response::Error("boom".into()),
-        ] {
-            let mut raw = Vec::new();
-            resp.encode_into(&mut raw);
-            assert_eq!(raw, resp.encode().into_bytes(), "{resp:?}");
+        ]
+    }
+
+    #[test]
+    fn encode_into_writes_the_wire_format() {
+        let want: [&[u8]; 6] = [
+            b"+OK\n",
+            b"$-1\n",
+            b"$value\n",
+            b":-3\n",
+            b"*2\na\nb\n",
+            b"-ERR boom\n",
+        ];
+        for (resp, want) in every_reply_shape().iter().zip(want) {
+            assert_eq!(wire(resp), want, "{resp:?}");
         }
-        // Binary payloads pass through encode_into untouched.
-        let mut raw = Vec::new();
-        Response::Bulk(Some(vec![0xff, 0x00, 0x7f])).encode_into(&mut raw);
-        assert_eq!(raw, [b'$', 0xff, 0x00, 0x7f, b'\n']);
+        // Binary payloads pass through untouched.
+        assert_eq!(
+            wire(&Response::Bulk(Some(vec![0xff, 0x00, 0x7f]))),
+            [b'$', 0xff, 0x00, 0x7f, b'\n']
+        );
+        // Appends: one buffer carries a whole batch of replies.
+        let mut batch = wire(&Response::Int(1));
+        Response::Int(2).encode_into(&mut batch);
+        assert_eq!(batch, b":1\n:2\n");
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        for resp in [
-            Response::Ok("OK".into()),
-            Response::Bulk(None),
-            Response::Bulk(Some(b"value".to_vec())),
-            Response::Int(-3),
-            Response::Array(vec![b"a".to_vec(), b"b".to_vec()]),
-            Response::Error("boom".into()),
-        ] {
-            let decoded = Response::decode(&resp.encode()).unwrap();
-            assert_eq!(decoded, resp);
+        for resp in every_reply_shape() {
+            let text = String::from_utf8(wire(&resp)).unwrap();
+            assert_eq!(Response::decode(&text).unwrap(), resp);
         }
     }
 
@@ -1025,30 +845,30 @@ mod tests {
         let sma = Sma::standalone(256);
         let store = Store::new(&sma, "kv", Priority::default());
         assert_eq!(
-            Command::parse("SET a 1").unwrap().execute(&store),
+            CommandRef::parse("SET a 1").unwrap().execute(&store),
             Response::Ok("OK".into())
         );
         assert_eq!(
-            Command::parse("GET a").unwrap().execute(&store),
+            CommandRef::parse("GET a").unwrap().execute(&store),
             Response::Bulk(Some(b"1".to_vec()))
         );
         assert_eq!(
-            Command::parse("GET b").unwrap().execute(&store),
+            CommandRef::parse("GET b").unwrap().execute(&store),
             Response::Bulk(None)
         );
         assert_eq!(
-            Command::parse("EXISTS a").unwrap().execute(&store),
+            CommandRef::parse("EXISTS a").unwrap().execute(&store),
             Response::Int(1)
         );
         assert_eq!(
-            Command::parse("DEL a").unwrap().execute(&store),
+            CommandRef::parse("DEL a").unwrap().execute(&store),
             Response::Int(1)
         );
         assert_eq!(
-            Command::parse("DBSIZE").unwrap().execute(&store),
+            CommandRef::parse("DBSIZE").unwrap().execute(&store),
             Response::Int(0)
         );
-        if let Response::Bulk(Some(info)) = Command::Info.execute(&store) {
+        if let Response::Bulk(Some(info)) = CommandRef::Info.execute(&store) {
             let text = String::from_utf8(info).unwrap();
             assert!(text.contains("keys:0"), "{text}");
             if softmem_telemetry::ENABLED {
@@ -1065,8 +885,8 @@ mod tests {
         let store = Store::new(&sma, "kv", Priority::default());
         store.set(b"a", b"1").unwrap();
         store.get(b"a");
-        assert_eq!(Command::parse("stats").unwrap(), Command::Stats);
-        let reply = Command::Stats.execute(&store);
+        assert_eq!(CommandRef::parse("stats").unwrap(), CommandRef::Stats);
+        let reply = CommandRef::Stats.execute(&store);
         let Response::Bulk(Some(json)) = reply else {
             panic!("STATS must return bulk, got {reply:?}");
         };
@@ -1080,7 +900,8 @@ mod tests {
             assert!(text.contains("\"keys\":1"), "{text}");
         }
         // The reply survives an encode/decode round trip intact.
-        let decoded = Response::decode(&Command::Stats.execute(&store).encode()).unwrap();
+        let text = String::from_utf8(wire(&CommandRef::Stats.execute(&store))).unwrap();
+        let decoded = Response::decode(&text).unwrap();
         let Response::Bulk(Some(raw)) = decoded else {
             panic!("decode changed shape");
         };

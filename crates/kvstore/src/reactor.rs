@@ -1,13 +1,12 @@
 //! The event-driven network plane: epoll reactors + batched shard
 //! execution.
 //!
-//! The thread-per-connection front-end ([`crate::TcpFrontend`]) burns
-//! one OS thread per client, which caps the server at hundreds of
-//! connections and puts request parsing on the connection thread —
-//! the layer BENCH_shard.json fingered for the shard plateau. This
-//! module replaces it with a small pool of **reactor** threads
-//! multiplexing every client socket through `epoll`, and moves parsing
-//! onto the **shard workers** so the event loop only does I/O:
+//! This is the one path a request takes to a [`crate::Store`]. A
+//! thread per client would cap a server at hundreds of connections and
+//! put request parsing on the connection thread (EXPERIMENTS.md §A8
+//! has the measurement). Instead a small pool of **reactor** threads
+//! multiplexes every client socket through `epoll`, and parsing
+//! happens on the **shard workers** so the event loop only does I/O:
 //!
 //! ```text
 //!             ┌────────────────────────── reactor 0 ──┐
@@ -15,7 +14,7 @@
 //!             │  frame (next_frame) → route            │──SPSC──▶ shard worker 0
 //!             │  (routing_key_of + shard_of)           │──SPSC──▶ shard worker 1
 //!             │  sequence replies → write bufs         │◀─inbox──  (batch: parse,
-//!             └────────────────────────────────────────┘           execute_at,
+//!             └────────────────────────────────────────┘           execute,
 //!             ┌────────────────────────── reactor 1 ──┐            encode_into)
 //!  clients ──▶│            …same…                      │──SPSC──▶ …
 //!             └────────────────────────────────────────┘
@@ -32,11 +31,10 @@
 //!   ring, sequence completed replies back into per-connection write
 //!   buffers, and flush them when the socket is writable.
 //! * **Shard workers** (one per shard) drain their rings in batches,
-//!   parse each frame with the borrowed-slice
-//!   [`crate::protocol::CommandRef`] parser, execute directly against
-//!   the engine ([`crate::ShardedStore::execute_at`] — no channel
-//!   hop), encode replies, and post them to the owning reactor's inbox
-//!   with one eventfd wake per reactor per batch.
+//!   hand each frame to [`crate::ShardedStore::execute`] (borrowed-slice
+//!   parse, then straight into the owning shard's store), encode
+//!   replies, and post them to the owning reactor's inbox with one
+//!   eventfd wake per reactor per batch.
 //!
 //! Backpressure is explicit and per-connection: when a connection's
 //! write buffer crosses the high-water mark, its in-flight count hits
@@ -103,7 +101,7 @@ use std::time::{Duration, Instant};
 
 use softmem_telemetry::{Counter, Gauge, Registry, Snapshot};
 
-use crate::protocol::{next_frame, routing_key_of, CommandRef, Response};
+use crate::protocol::{next_frame, routing_key_of, split_verb, Response};
 use crate::sharded::ShardedStore;
 
 // ----------------------------------------------------------------------
@@ -461,7 +459,7 @@ impl<T> SpscRx<T> {
 // ----------------------------------------------------------------------
 
 /// One framed request in flight from a reactor to a shard worker.
-struct ShardReq {
+struct FramedReq {
     /// Index of the reactor that owns the connection.
     reactor: u32,
     /// Connection id (epoll token; never reused within a frontend).
@@ -887,7 +885,7 @@ struct Conn {
     read_pos: usize,
     /// A frame that found its shard ring full: retried every loop
     /// until it fits. At most one — framing stops while parked.
-    parked: Option<(usize, ShardReq)>,
+    parked: Option<(usize, FramedReq)>,
     /// Encoded replies awaiting the socket; `write_pos` is flushed.
     write_buf: Vec<u8>,
     write_pos: usize,
@@ -970,7 +968,7 @@ struct Reactor {
     listener: Option<TcpListener>,
     engine: Arc<ShardedStore>,
     /// Request ring per shard (we are the single producer).
-    rings: Vec<SpscTx<ShardReq>>,
+    rings: Vec<SpscTx<FramedReq>>,
     parks: Vec<Arc<Park>>,
     conns: HashMap<u64, Conn>,
     conn_ids: Arc<AtomicU64>,
@@ -1372,8 +1370,7 @@ impl Reactor {
                 break;
             };
             if frame.is_empty() {
-                // Blank line: skipped without a reply, matching the
-                // thread frontend.
+                // Blank line: skipped without a reply.
                 conn.read_pos += used;
                 continue;
             }
@@ -1406,7 +1403,7 @@ impl Reactor {
             let seq = conn.next_seq;
             conn.next_seq += 1;
             self.stats.requests_total.fetch_add(1, Ordering::Relaxed);
-            let req = ShardReq {
+            let req = FramedReq {
                 reactor: self.idx as u32,
                 conn: id,
                 seq,
@@ -1720,7 +1717,7 @@ impl Reactor {
 struct WorkerCtx {
     shard: usize,
     engine: Arc<ShardedStore>,
-    rings: Vec<SpscRx<ShardReq>>,
+    rings: Vec<SpscRx<FramedReq>>,
     park: Arc<Park>,
     reactors: Vec<Arc<ReactorShared>>,
     stats: Arc<NetStats>,
@@ -1850,31 +1847,31 @@ fn post_replies(ctx: &WorkerCtx, out: &mut [Vec<Reply>]) {
     }
 }
 
-/// Parses and executes one raw frame; returns the encoded reply and
-/// whether the connection should close after it flushes.
+/// Executes one raw frame; returns the encoded reply and whether the
+/// connection should close after it flushes. The engine answers every
+/// verb ([`ShardedStore::execute`]); the network plane itself acts on
+/// two of them — `SHUTDOWN` also stops the process, and `STATS` gets
+/// this plane's section spliced into the engine's snapshot.
 fn execute_frame(ctx: &WorkerCtx, frame: &[u8]) -> (Vec<u8>, bool) {
     let mut close_after = false;
     let response = match std::str::from_utf8(frame) {
-        Ok(line) => match CommandRef::parse(line) {
-            Ok(cmd) => {
-                if matches!(cmd, CommandRef::Shutdown) {
-                    close_after = true;
-                    ctx.stats.shutdown_requested.store(true, Ordering::Release);
-                }
-                if matches!(cmd, CommandRef::Stats) {
-                    // Splice the network plane's section into the
-                    // engine's snapshot (and refresh the telemetry
-                    // gauges from ground truth while we're here).
-                    ctx.metrics.refresh(&ctx.stats);
-                    Response::Bulk(Some(
-                        stats_json_with_net(&ctx.engine, &ctx.stats).into_bytes(),
-                    ))
-                } else {
-                    ctx.engine.execute_at(ctx.shard, &cmd)
-                }
+        Ok(line) => {
+            let (verb, _) = split_verb(line);
+            if verb.eq_ignore_ascii_case("SHUTDOWN") {
+                close_after = true;
+                ctx.stats.shutdown_requested.store(true, Ordering::Release);
             }
-            Err(msg) => Response::Error(msg),
-        },
+            if verb.eq_ignore_ascii_case("STATS") {
+                // Refresh the telemetry gauges from ground truth while
+                // we're here.
+                ctx.metrics.refresh(&ctx.stats);
+                Response::Bulk(Some(
+                    stats_json_with_net(&ctx.engine, &ctx.stats).into_bytes(),
+                ))
+            } else {
+                ctx.engine.execute(line)
+            }
+        }
         Err(_) => Response::Error("invalid UTF-8 in request".into()),
     };
     let mut bytes = Vec::with_capacity(32);
@@ -1980,8 +1977,9 @@ impl ReactorFrontend {
 
         // Ring matrix: rings[reactor][shard] — each reactor the sole
         // producer, each shard worker the sole consumer.
-        let mut tx_rings: Vec<Vec<SpscTx<ShardReq>>> = (0..nreactors).map(|_| Vec::new()).collect();
-        let mut rx_rings: Vec<Vec<SpscRx<ShardReq>>> = (0..nshards).map(|_| Vec::new()).collect();
+        let mut tx_rings: Vec<Vec<SpscTx<FramedReq>>> =
+            (0..nreactors).map(|_| Vec::new()).collect();
+        let mut rx_rings: Vec<Vec<SpscRx<FramedReq>>> = (0..nshards).map(|_| Vec::new()).collect();
         for tx_row in tx_rings.iter_mut() {
             for rx_col in rx_rings.iter_mut() {
                 let (tx, rx) = spsc(cfg.ring_capacity);
@@ -2105,7 +2103,7 @@ impl Drop for ReactorFrontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::TcpKvClient;
+    use crate::client::TcpKvClient;
     use softmem_core::{Priority, Sma};
 
     fn frontend(shards: usize) -> (Arc<Sma>, ReactorFrontend) {
@@ -2211,7 +2209,12 @@ mod tests {
         }
         assert_eq!(stats.open_conns.load(Ordering::Acquire), 0);
         assert_eq!(stats.closed_total.load(Ordering::Acquire), 32);
-        drop(fe); // must not hang
+        // Dropping the frontend must complete even though a client is
+        // parked waiting for its next request, and must hang up on it.
+        let mut parked = TcpKvClient::connect(addr).unwrap();
+        assert_eq!(parked.request("PING").unwrap(), Response::Ok("PONG".into()));
+        drop(fe);
+        assert!(parked.request("PING").is_err());
     }
 
     #[test]
@@ -2737,6 +2740,74 @@ mod tests {
         drop(client);
         await_true(|| stats.quiesced(), "quiescence under flaky I/O");
         assert_ledger(&stats);
+    }
+
+    /// Differential test: a 4-shard engine served by the reactor over
+    /// TCP must answer exactly like one plain [`crate::Store`]
+    /// executing the same lines one after another. The reference
+    /// shares no framing, routing, sequencing or cross-shard merge
+    /// code with the path under test — only the parser and the store.
+    ///
+    /// Per-key commands are pipelined (same key → same shard ring →
+    /// FIFO, so their results are order-deterministic even under
+    /// concurrent shard execution). Global and multi-key commands
+    /// (DBSIZE, KEYS, MGET, FLUSHALL) are issued as synchronous round
+    /// trips: the reactor only orders them relative to other shards'
+    /// work at reply boundaries, which is exactly what a synchronous
+    /// client observes.
+    #[test]
+    fn sharded_reactor_agrees_with_one_sequential_store() {
+        use crate::protocol::CommandRef;
+
+        let mut pipelined: Vec<String> =
+            (0..30).map(|i| format!("SET user:{i} value-{i}")).collect();
+        pipelined.extend(
+            [
+                "GET user:7",
+                "GET missing",
+                "INCR counter",
+                "INCRBY counter 9",
+                "APPEND log hello world",
+                "PEXPIRE user:1 60000",
+                "PERSIST user:1",
+                "PTTL user:1",
+                "PTTL missing",
+                "SETNX user:1 other",
+                "DEL user:3",
+                "EXISTS user:3",
+                "BANANA nope",
+                "SET incomplete",
+            ]
+            .map(String::from),
+        );
+        let serial = [
+            "MGET user:1 nope user:29",
+            "DBSIZE",
+            "KEYS user:2",
+            "FLUSHALL",
+            "DBSIZE",
+        ];
+
+        let reactor = {
+            let (_sma, fe) = frontend(4);
+            let mut c = TcpKvClient::connect(fe.addr()).unwrap();
+            let mut replies = c.request_pipeline(&pipelined).unwrap();
+            for line in serial {
+                replies.push(c.request(line).unwrap());
+            }
+            replies
+        };
+        let sma = Sma::standalone(1024);
+        let store = crate::Store::new(&sma, "kv", Priority::new(4));
+        let lines = pipelined.iter().map(String::as_str).chain(serial);
+        for (i, (line, got)) in lines.zip(&reactor).enumerate() {
+            let want = match CommandRef::parse(line) {
+                Ok(cmd) => cmd.execute(&store),
+                Err(msg) => Response::Error(msg),
+            };
+            assert_eq!(got, &want, "reply {i} diverged ({line:?})");
+        }
+        assert_eq!(reactor.len(), pipelined.len() + serial.len());
     }
 
     #[test]

@@ -136,14 +136,6 @@ impl ShardedStore {
         Ok(ShardedStore { shards: stores })
     }
 
-    /// Wraps an existing store as a one-shard engine (exact
-    /// single-store semantics; used by [`crate::KvServer::start`]).
-    pub fn from_single(store: Store) -> Self {
-        ShardedStore {
-            shards: vec![Arc::new(store)],
-        }
-    }
-
     /// Builds an engine from pre-constructed shards — e.g. one store
     /// per *allocator* for a shard-per-core deployment where each core
     /// runs its own SMA registered with the machine daemon.
@@ -404,16 +396,30 @@ impl ShardedStore {
         softmem_telemetry::combined_json(&self.snapshots())
     }
 
-    /// Executes a parsed command with shard `shard` as its home shard.
-    ///
-    /// This is the reactor's batch-dispatch entry point: the frontend
-    /// hash-routes each raw frame (via [`Self::shard_of`] on its
-    /// routing key, or `conn % shards` for keyless verbs), and the
-    /// shard worker parses and calls this directly — no channel hop.
-    /// Single-key commands and `PING` run on `shard`'s store;
+    /// Parses and executes one request line — the whole engine behind
+    /// one call, for in-process callers and for the reactor's shard
+    /// workers alike. A single-key command runs on the shard its key
+    /// hashes to; keyless verbs take shard 0 as their home (only
+    /// `PING` touches it — the cross-shard verbs merge over every
+    /// shard). A line that does not parse is answered with
+    /// [`Response::Error`], never an `Err`: it is the client's
+    /// mistake, and the reply is what goes back on the wire.
+    pub fn execute(&self, line: &str) -> Response {
+        match CommandRef::parse(line) {
+            Ok(cmd) => {
+                let home = cmd.routing_key().map_or(0, |key| self.shard_of(key));
+                self.execute_at(home, &cmd)
+            }
+            Err(msg) => Response::Error(msg),
+        }
+    }
+
+    /// Executes a parsed command with shard `shard` as its home shard
+    /// ([`Self::execute`] is the parse-and-route wrapper). Single-key
+    /// commands and `PING` run on `shard`'s store — the caller routed
+    /// by key, so `shard` must be [`Self::shard_of`] the key;
     /// cross-shard verbs fan out inline through the engine's merge
-    /// helpers, producing the same replies as the in-process router
-    /// ([`crate::KvHandle`]) for every command.
+    /// helpers, with the same reply from any home shard.
     ///
     /// # Panics
     ///
@@ -425,7 +431,7 @@ impl ShardedStore {
             // caller routed by key, so `owner()` would be identity.
             CommandRef::Ping => cmd.execute(&self.shards[shard]),
             c if c.routing_key().is_some() => c.execute(&self.shards[shard]),
-            // Cross-shard verbs merge inline, mirroring the router.
+            // Cross-shard verbs merge inline.
             CommandRef::DbSize => Response::Int(self.dbsize() as i64),
             CommandRef::FlushAll => {
                 self.flushall();
@@ -603,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_at_matches_router_semantics() {
+    fn execute_at_merges_from_any_home_shard() {
         let (_sma, e) = engine(4, 1024);
         for i in 0..20 {
             let line = format!("SET user:{i} u{i}");
@@ -641,6 +647,141 @@ mod tests {
             Response::Ok("OK".into())
         );
         assert_eq!(e.dbsize(), 0);
+    }
+
+    #[test]
+    fn execute_routes_merges_and_reports_parse_errors() {
+        let (_sma, e) = engine(4, 1024);
+        for i in 0..40 {
+            assert_eq!(
+                e.execute(&format!("SET user:{i} u{i}")),
+                Response::Ok("OK".into())
+            );
+        }
+        assert_eq!(e.execute("DBSIZE"), Response::Int(40));
+        // The line's key decides the shard: the value is where the
+        // direct API looks for it.
+        assert_eq!(e.get(b"user:7"), Some(b"u7".to_vec()));
+        assert_eq!(
+            e.execute("GET user:7\r\n"),
+            Response::Bulk(Some(b"u7".to_vec()))
+        );
+        assert_eq!(e.execute("GET missing"), Response::Bulk(None));
+        assert_eq!(e.execute("DEL user:7"), Response::Int(1));
+        // MGET spans shards and preserves request order.
+        assert_eq!(
+            e.execute("MGET user:1 nope user:39"),
+            Response::Array(vec![b"u1".to_vec(), b"(nil)".to_vec(), b"u39".to_vec()])
+        );
+        // INCR routes consistently: the counter lives on one shard.
+        assert_eq!(e.execute("INCR hits"), Response::Int(1));
+        assert_eq!(e.execute("INCR hits"), Response::Int(2));
+        // INFO/STATS render the aggregated machine view.
+        let Response::Bulk(Some(info)) = e.execute("INFO") else {
+            panic!("INFO must return bulk");
+        };
+        let info = String::from_utf8(info).unwrap();
+        assert!(info.starts_with("shards:4;"), "{info}");
+        assert!(info.contains("keys:40"), "{info}");
+        let Response::Bulk(Some(json)) = e.execute("STATS") else {
+            panic!("STATS must return bulk");
+        };
+        let json = String::from_utf8(json).unwrap();
+        for label in ["\"kv0\":{", "\"kv1\":{", "\"kv2\":{", "\"kv3\":{"] {
+            assert!(json.contains(label), "{json}");
+        }
+        // Keyless verbs have no routing key; PING is answered from
+        // shard 0, SHUTDOWN is only acknowledged.
+        assert_eq!(e.execute("PING"), Response::Ok("PONG".into()));
+        assert_eq!(e.execute("SHUTDOWN"), Response::Ok("OK".into()));
+        // A line that does not parse is the client's error reply.
+        for (line, want) in [
+            ("WAT", "unknown command"),
+            ("SET incomplete", "wrong number of arguments"),
+            ("", "empty command"),
+        ] {
+            match e.execute(line) {
+                Response::Error(msg) => assert!(msg.contains(want), "{line:?}: {msg}"),
+                other => panic!("{line:?}: expected error, got {other:?}"),
+            }
+        }
+        assert_eq!(e.execute("FLUSHALL"), Response::Ok("OK".into()));
+        assert_eq!(e.dbsize(), 0);
+    }
+
+    #[test]
+    fn concurrent_incr_on_one_key_loses_no_update() {
+        // Nothing but the store serialises in-process callers: the
+        // read and the write of an INCR must be one step per key.
+        const N: i64 = 20_000;
+        let (_sma, e) = engine(2, 1024);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..N {
+                        assert!(matches!(e.execute("INCR ctr"), Response::Int(_)));
+                    }
+                });
+            }
+        });
+        assert_eq!(e.get(b"ctr"), Some((2 * N).to_string().into_bytes()));
+    }
+
+    #[test]
+    fn shards_racing_for_one_tight_budget_refuse_no_set() {
+        // Two shards, one SMA, a budget far smaller than the keyspace:
+        // nearly every SET sheds a page and retries. The page a shard
+        // frees goes back to the shared pool, where the sibling's
+        // concurrent retry can take it — one retry is not enough, and
+        // a lost race must not surface as `-ERR OOM`.
+        const PER_WRITER: usize = 150_000;
+        let sma = Sma::with_config(
+            softmem_core::SmaConfig::for_testing(48)
+                .free_pool_retain(0)
+                .sds_retain(0),
+        );
+        let e = ShardedStore::new(&sma, "kv", Priority::new(4), 2);
+        // Each writer owns one shard, so the two never share a lock —
+        // only the page pool.
+        let keys_of = |shard: usize| -> Vec<Vec<u8>> {
+            (0u32..)
+                .map(|i| format!("key-{i:07}").into_bytes())
+                .filter(|k| e.shard_of(k) == shard)
+                .take(20_000)
+                .collect()
+        };
+        let keys = [keys_of(0), keys_of(1)];
+        // Fill the budget from one thread first, alternating shards, so
+        // the race starts with the pages split about evenly. A shard
+        // that holds no page at all has nothing to shed and is refused
+        // until its sibling lets one go — a different failure (a late
+        // starter locked out), which retrying cannot cure.
+        for (a, b) in keys[0].iter().zip(&keys[1]).take(4_000) {
+            e.set(a, &[7u8; 32]).unwrap();
+            e.set(b, &[7u8; 32]).unwrap();
+        }
+        let start = std::sync::Barrier::new(2);
+        let refused: usize = std::thread::scope(|scope| {
+            let writers: Vec<_> = keys
+                .iter()
+                .map(|keys| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..PER_WRITER)
+                            .filter(|i| e.set(&keys[i % keys.len()], &[7u8; 32]).is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(refused, 0, "SETs refused under a shared tight budget");
+        assert!(
+            e.stats().reclaimed_entries > 0,
+            "the budget never forced a shed — nothing was tested"
+        );
     }
 
     #[test]

@@ -111,8 +111,8 @@ struct Counters {
 
 /// A Redis-like keyspace whose entries live in soft memory.
 ///
-/// Thread-safe, but intended to be driven by a single command loop
-/// (like Redis); see [`crate::server`].
+/// Thread-safe: every verb is atomic per key, whichever thread calls
+/// it (the reactor's shard workers, or any in-process caller).
 ///
 /// # Examples
 ///
@@ -145,13 +145,21 @@ pub struct Store {
     /// two operations — `tier.take` then `table.insert` — and a SET or
     /// DEL landing in between would be silently overwritten by the
     /// stale promoted value. Holding the key's stripe across both
-    /// halves (and across every write) closes that window.
+    /// halves (and across every write) closes that window. The
+    /// read-modify-write verbs (`INCRBY`/`APPEND`/`SETNX`) hold it
+    /// across read→write for the same reason.
     stripes: Vec<Mutex<()>>,
 }
 
 /// Number of key stripes. Power of two, sized so 64 concurrent
 /// connections rarely collide on unrelated keys.
 const STRIPES: usize = 64;
+
+/// Most shed-and-retry rounds one insert makes
+/// ([`Store::shed_and_retry`]). One is enough unless a sibling shard
+/// wins the race for the freed page; losing it eight times running
+/// means the machine is so short that refusing is the honest answer.
+const SHED_ROUNDS: usize = 8;
 
 impl Store {
     /// Creates a store whose table is registered with `sma` as an SDS
@@ -355,9 +363,17 @@ impl Store {
     /// evicts a few entries (per its eviction order) to make room and
     /// retries, failing only if even that cannot free a slot.
     pub fn set(&self, key: &[u8], value: &[u8]) -> SoftResult<()> {
+        let _placement = self.stripe(key).lock();
+        self.set_locked(key, value)
+    }
+
+    /// [`Store::set`] with `key`'s stripe already held — the write half
+    /// of the read-modify-write verbs, which keep the stripe across
+    /// their read so two `INCR`s on one key cannot both read the same
+    /// old value.
+    fn set_locked(&self, key: &[u8], value: &[u8]) -> SoftResult<()> {
         self.counters.sets.fetch_add(1, Ordering::Relaxed);
         self.metrics.sets.add(1);
-        let _placement = self.stripe(key).lock();
         self.expiries.lock().remove(key);
         let result = match self.table.insert(key.to_vec(), value.to_vec()) {
             Ok(_) => Ok(()),
@@ -373,17 +389,7 @@ impl Store {
                         .fetch_add(1, Ordering::Relaxed);
                     self.metrics.degraded_denies.add(1);
                 }
-                // Make room: shed one page's worth of entries (the
-                // granularity at which the allocator can actually
-                // return memory).
-                if self.table.reclaim_now(4096) == 0 {
-                    Err(SoftError::BudgetExceeded {
-                        requested_pages: 1,
-                        available_pages: 0,
-                    })
-                } else {
-                    self.table.insert(key.to_vec(), value.to_vec()).map(|_| ())
-                }
+                self.shed_and_retry(key, value)
             }
             Err(e) => Err(e),
         };
@@ -401,6 +407,32 @@ impl Store {
             tier.flush();
         }
         result
+    }
+
+    /// Makes room for an insert the budget refused: sheds one page's
+    /// worth of entries (the granularity at which the allocator can
+    /// actually return memory) and retries. Every shard of an engine
+    /// draws on the same SMA, so a sibling can take the freed page
+    /// first; the loop goes again for as long as shedding frees
+    /// something, up to [`SHED_ROUNDS`]. It fails when this store has
+    /// nothing left to give up.
+    fn shed_and_retry(&self, key: &[u8], value: &[u8]) -> SoftResult<()> {
+        let mut refused = SoftError::BudgetExceeded {
+            requested_pages: 1,
+            available_pages: 0,
+        };
+        for _ in 0..SHED_ROUNDS {
+            if self.table.reclaim_now(4096) == 0 {
+                break;
+            }
+            match self.table.insert(key.to_vec(), value.to_vec()) {
+                Err(e @ (SoftError::BudgetExceeded { .. } | SoftError::Denied { .. })) => {
+                    refused = e;
+                }
+                other => return other.map(|_| ()),
+            }
+        }
+        Err(refused)
     }
 
     /// Fetches the value under `key`; `None` is a miss (absent or
@@ -471,33 +503,28 @@ impl Store {
             .is_some()
     }
 
-    /// Reinserts a promoted value into the hot table, shedding a page
-    /// of colder entries and retrying once when the budget is tight.
-    /// If even that fails the value goes back to the cold tier — a
-    /// promotion may be deferred, but it is never silently dropped.
-    /// Runs with the key's stripe held (see [`Store::get_into`]).
+    /// Reinserts a promoted value into the hot table, shedding colder
+    /// entries and retrying ([`Store::shed_and_retry`]) when the budget
+    /// is tight. If even that fails the value goes back to the cold
+    /// tier — a promotion may be deferred, but it is never silently
+    /// dropped. Runs with the key's stripe held (see
+    /// [`Store::get_into`]).
     fn promote(&self, key: &[u8], value: Vec<u8>) {
         let tier = self.tier.as_ref().expect("promote requires a tier");
-        match self.table.insert(key.to_vec(), value.clone()) {
-            Ok(_) => {}
+        let promoted = match self.table.insert(key.to_vec(), value.clone()) {
+            Ok(_) => return,
             Err(SoftError::BudgetExceeded { .. } | SoftError::Denied { .. }) => {
-                let ok = self.table.reclaim_now(4096) > 0
-                    && self.table.insert(key.to_vec(), value.clone()).is_ok();
-                if !ok {
-                    tier.demote(key, &value);
-                    self.metrics.cold_demotions.add(1);
-                }
-                // The shed (and a failed promotion's re-demotion) may
-                // have queued spill work; write it out here, outside
-                // the map lock.
-                tier.flush();
+                self.shed_and_retry(key, &value).is_ok()
             }
-            Err(_) => {
-                tier.demote(key, &value);
-                self.metrics.cold_demotions.add(1);
-                tier.flush();
-            }
+            Err(_) => false,
+        };
+        if !promoted {
+            tier.demote(key, &value);
+            self.metrics.cold_demotions.add(1);
         }
+        // The shed (and a failed promotion's re-demotion) may have
+        // queued spill work; write it out here, outside the map lock.
+        tier.flush();
     }
 
     /// Deletes `key`; returns whether it existed (in either tier).
@@ -552,6 +579,7 @@ impl Store {
     /// integer.
     pub fn incr_by(&self, key: &[u8], delta: i64) -> Result<i64, String> {
         self.expire_if_due(key);
+        let _placement = self.stripe(key).lock();
         let current = match self.table.get_with(&key.to_vec(), |v| v.clone()) {
             Some(v) => std::str::from_utf8(&v)
                 .ok()
@@ -562,7 +590,7 @@ impl Store {
         let next = current
             .checked_add(delta)
             .ok_or_else(|| "increment would overflow".to_string())?;
-        self.set(key, next.to_string().as_bytes())
+        self.set_locked(key, next.to_string().as_bytes())
             .map_err(|e| format!("OOM {e}"))?;
         Ok(next)
     }
@@ -571,10 +599,11 @@ impl Store {
     /// whether it was stored.
     pub fn setnx(&self, key: &[u8], value: &[u8]) -> SoftResult<bool> {
         self.expire_if_due(key);
+        let _placement = self.stripe(key).lock();
         if self.table.contains_key(&key.to_vec()) {
             return Ok(false);
         }
-        self.set(key, value)?;
+        self.set_locked(key, value)?;
         Ok(true)
     }
 
@@ -587,13 +616,14 @@ impl Store {
     /// returns the new length.
     pub fn append(&self, key: &[u8], suffix: &[u8]) -> SoftResult<usize> {
         self.expire_if_due(key);
+        let _placement = self.stripe(key).lock();
         let mut value = self
             .table
             .get_with(&key.to_vec(), |v| v.clone())
             .unwrap_or_default();
         value.extend_from_slice(suffix);
         let len = value.len();
-        self.set(key, &value)?;
+        self.set_locked(key, &value)?;
         Ok(len)
     }
 

@@ -175,3 +175,27 @@ fn kv_server_survives_peer_death() {
     assert!(stats.procs.len() <= 2);
     assert_eq!(stats.denials_total, 0);
 }
+
+#[test]
+fn kv_server_rejects_bad_flags_instead_of_guessing() {
+    // Each of these used to start a server on defaults: a value that
+    // does not parse (`4G` silently became 64 MiB), a flag that is not
+    // one (the retired `--frontend` included), a flag with no value.
+    for (args, complaint) in [
+        (&["--budget-mib", "4G"][..], "--budget-mib"),
+        (&["--shards", "two"], "--shards"),
+        (&["--frontend", "threads"], "--frontend"),
+        (&["--budget-mib"], "needs a value"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_kv_server"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run kv_server");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: one line: {stderr}");
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not start serving");
+    }
+}

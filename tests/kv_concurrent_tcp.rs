@@ -12,14 +12,16 @@
 //!   the wire;
 //! * after the run quiesces, `StoreStats` ground truth and the
 //!   telemetry mirrors agree shard by shard.
+#![cfg(target_os = "linux")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use softmem::core::{Priority, Sma, SmaConfig};
-use softmem::kv::server::{KvServer, TcpFrontend, TcpKvClient};
-use softmem::kv::{ReclaimCostModel, Response, ShardedStore};
+use softmem::kv::{
+    ReactorConfig, ReactorFrontend, ReclaimCostModel, Response, ShardedStore, TcpKvClient,
+};
 use softmem::telemetry::MetricValue;
 
 const CLIENTS: usize = 4;
@@ -41,9 +43,10 @@ fn hammer(shards: usize) {
     // reclamation and the serving path.
     engine.set_reclaim_cost(Duration::from_micros(2));
     engine.set_reclaim_cost_model(ReclaimCostModel::Sleep);
-    let server = KvServer::start_sharded(engine);
-    let engine = Arc::clone(server.engine());
-    let frontend = TcpFrontend::bind(server.handle()).expect("bind");
+    let engine = Arc::new(engine);
+    let frontend =
+        ReactorFrontend::bind("127.0.0.1:0", Arc::clone(&engine), ReactorConfig::default())
+            .expect("bind");
     let addr = frontend.addr();
 
     // Overlapping read-only keys every client hammers.
@@ -227,7 +230,6 @@ fn hammer(shards: usize) {
     }
 
     drop(frontend);
-    server.shutdown();
 }
 
 #[test]

@@ -4,8 +4,7 @@
 use softmem::core::{MachineMemory, Priority, Sma, SmaConfig, PAGE_SIZE};
 use softmem::daemon::{Smd, SmdConfig, SoftProcess};
 use softmem::kv::crash::CrashModel;
-use softmem::kv::server::{KvServer, TcpFrontend, TcpKvClient};
-use softmem::kv::{Response, Store};
+use softmem::kv::{Response, ShardedStore, Store};
 use softmem::sds::SoftQueue;
 use softmem::sim::pressure::{run_pressure, PressureConfig};
 
@@ -101,44 +100,53 @@ fn crash_baseline_is_strictly_worse_than_reclaim() {
 }
 
 #[test]
-fn server_keeps_serving_through_reclamation() {
+fn engine_keeps_serving_through_reclamation() {
     let sma = Sma::with_config(
         SmaConfig::for_testing(1 << 14)
             .free_pool_retain(0)
             .sds_retain(0),
     );
-    let store = Store::new(&sma, "kv", Priority::default());
-    let server = KvServer::start(store);
-    let h = server.handle();
+    let engine = ShardedStore::new(&sma, "kv", Priority::default(), 1);
     for i in 0..3000 {
-        h.set(&format!("k{i}"), "value").unwrap();
+        assert_eq!(
+            engine.execute(&format!("SET k{i} value")),
+            Response::Ok("OK".into())
+        );
     }
-    // Reclaim from outside while the server is live (the daemon
+    // Reclaim from outside while the engine is live (the daemon
     // thread's perspective).
     let demand = sma.stats().slack_pages() + sma.held_pages() / 2;
     sma.reclaim(demand);
-    // The server still answers; some keys are gone, others live.
+    // The engine still answers; some keys are gone, others live.
     let mut hits = 0;
     for i in 0..3000 {
-        if h.get(&format!("k{i}")).unwrap().is_some() {
-            hits += 1;
+        match engine.execute(&format!("GET k{i}")) {
+            Response::Bulk(Some(_)) => hits += 1,
+            Response::Bulk(None) => {}
+            other => panic!("unexpected: {other:?}"),
         }
     }
     assert!(hits > 0 && hits < 3000, "partial survival: {hits}");
-    assert_eq!(h.dbsize().unwrap(), hits);
-    server.shutdown();
+    assert_eq!(engine.execute("DBSIZE"), Response::Int(hits));
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_clients_observe_reclamation_as_misses() {
+    use softmem::kv::{ReactorConfig, ReactorFrontend, TcpKvClient};
+
     let sma = Sma::with_config(
         SmaConfig::for_testing(1 << 14)
             .free_pool_retain(0)
             .sds_retain(0),
     );
-    let store = Store::new(&sma, "kv", Priority::default());
-    let server = KvServer::start(store);
-    let frontend = TcpFrontend::bind(server.handle()).unwrap();
+    let engine = ShardedStore::new(&sma, "kv", Priority::default(), 1);
+    let frontend = ReactorFrontend::bind(
+        "127.0.0.1:0",
+        std::sync::Arc::new(engine),
+        ReactorConfig::default(),
+    )
+    .unwrap();
     let mut client = TcpKvClient::connect(frontend.addr()).unwrap();
     for i in 0..2000 {
         assert_eq!(
@@ -163,7 +171,6 @@ fn tcp_clients_observe_reclamation_as_misses() {
     } else {
         panic!("INFO must return bulk");
     }
-    server.shutdown();
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Protocol robustness: arbitrary client input must never crash the
 //! KV server or the unix-socket daemon — only produce error replies.
+#![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -10,7 +11,7 @@ use proptest::prelude::*;
 use softmem::core::{MachineMemory, Priority, Sma};
 use softmem::daemon::uds::UdsSmdServer;
 use softmem::daemon::{Smd, SmdConfig};
-use softmem::kv::{Command, KvServer, Response, Store, TcpFrontend};
+use softmem::kv::{CommandRef, ReactorConfig, ReactorFrontend, Response, ShardedStore, Store};
 
 /// Printable-ish junk lines (no newlines — the framing layer splits
 /// on them anyway).
@@ -31,7 +32,7 @@ proptest! {
     #[test]
     fn kv_command_parser_never_panics(line in junk_line()) {
         // Parsing junk either yields a command or a clean error.
-        let _ = Command::parse(&line);
+        let _ = CommandRef::parse(&line);
     }
 
     #[test]
@@ -39,7 +40,7 @@ proptest! {
         let sma = Sma::standalone(256);
         let store = Store::new(&sma, "fuzz", Priority::default());
         for line in &lines {
-            if let Ok(cmd) = Command::parse(line) {
+            if let Ok(cmd) = CommandRef::parse(line) {
                 // Execution must not panic, whatever was parsed.
                 let _ = cmd.execute(&store);
             }
@@ -52,14 +53,19 @@ proptest! {
 
 /// Starts a TCP-fronted KV server and returns a raw client stream
 /// (bypassing `TcpKvClient` so tests control framing byte by byte).
-fn raw_tcp_server() -> (Sma2, KvServer, TcpFrontend, TcpStream) {
+/// Dropping the frontend stops the server.
+fn raw_tcp_server() -> (Sma2, ReactorFrontend, TcpStream) {
     let sma = Sma::standalone(512);
-    let store = Store::new(&sma, "kv", Priority::default());
-    let server = KvServer::start(store);
-    let frontend = TcpFrontend::bind(server.handle()).expect("bind");
+    let engine = ShardedStore::new(&sma, "kv", Priority::default(), 1);
+    let frontend = ReactorFrontend::bind(
+        "127.0.0.1:0",
+        std::sync::Arc::new(engine),
+        ReactorConfig::default(),
+    )
+    .expect("bind");
     let stream = TcpStream::connect(frontend.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
-    (sma, server, frontend, stream)
+    (sma, frontend, stream)
 }
 
 type Sma2 = std::sync::Arc<Sma>;
@@ -87,7 +93,7 @@ fn scripted_commands(n: usize) -> (Vec<u8>, Vec<String>) {
 
 #[test]
 fn tcp_pipelined_frames_are_answered_in_order() {
-    let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+    let (_sma, _frontend, mut stream) = raw_tcp_server();
     let (wire, expected) = scripted_commands(40);
     // The whole pipeline in one write: the server must frame on
     // newlines, not on read boundaries.
@@ -98,12 +104,11 @@ fn tcp_pipelined_frames_are_answered_in_order() {
         reader.read_line(&mut reply).expect("read reply");
         assert_eq!(reply.trim_end(), want, "reply #{i} out of order");
     }
-    server.shutdown();
 }
 
 #[test]
 fn tcp_partial_single_byte_writes_still_frame_correctly() {
-    let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+    let (_sma, _frontend, mut stream) = raw_tcp_server();
     let (wire, expected) = scripted_commands(10);
     // Worst-case fragmentation: every byte is its own segment. The
     // server sees arbitrary partial reads and must reassemble lines.
@@ -120,12 +125,11 @@ fn tcp_partial_single_byte_writes_still_frame_correctly() {
         reader.read_line(&mut reply).expect("read reply");
         assert_eq!(reply.trim_end(), want, "reply #{i} mangled by split frames");
     }
-    server.shutdown();
 }
 
 #[test]
 fn tcp_half_frame_then_disconnect_does_not_wedge_the_server() {
-    let (_sma, server, frontend, mut stream) = raw_tcp_server();
+    let (_sma, frontend, mut stream) = raw_tcp_server();
     // A command with no terminating newline, then a hard disconnect:
     // the unfinished frame must be dropped, not executed or replayed.
     stream.write_all(b"SET orphan half-a-fra").expect("write");
@@ -138,7 +142,6 @@ fn tcp_half_frame_then_disconnect_does_not_wedge_the_server() {
     reader.read_line(&mut reply).expect("read");
     // …and the orphaned half-frame was never executed.
     assert_eq!(reply.trim_end(), ":0", "half frame must not execute");
-    server.shutdown();
 }
 
 proptest! {
@@ -152,7 +155,7 @@ proptest! {
         n_cmds in 4usize..24,
         cuts in proptest::collection::btree_set(1usize..300, 0..12),
     ) {
-        let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+        let (_sma, _frontend, mut stream) = raw_tcp_server();
         let (wire, expected) = scripted_commands(n_cmds);
         let mut at = 0usize;
         for &cut in cuts.iter().filter(|&&c| c < wire.len()) {
@@ -167,7 +170,6 @@ proptest! {
             reader.read_line(&mut reply).expect("read reply");
             prop_assert_eq!(reply.trim_end(), want.as_str(), "reply #{} differs under split", i);
         }
-        server.shutdown();
     }
 
     /// `Response::decode` must survive truncated multi-line (array)
@@ -181,7 +183,10 @@ proptest! {
         ),
         keep in 0usize..8,
     ) {
-        let full = Response::Array(items.iter().map(|s| s.as_bytes().to_vec()).collect()).encode();
+        let mut full = Vec::new();
+        Response::Array(items.iter().map(|s| s.as_bytes().to_vec()).collect())
+            .encode_into(&mut full);
+        let full = String::from_utf8(full).expect("ascii items");
         let lines: Vec<&str> = full.lines().collect();
         let keep = keep.min(lines.len());
         let truncated = lines[..keep].join("\n");
@@ -196,11 +201,12 @@ proptest! {
 }
 
 /// Checks one STATS bulk reply line: `$` sigil, single-line JSON with
-/// the `kv` registry and a counter that proves real content.
+/// the network plane's section, the `kv` registry and a counter that
+/// proves real content.
 fn assert_stats_reply(reply: &str) {
     let line = reply.trim_end();
     assert!(
-        line.starts_with("${\"kv\":{"),
+        line.starts_with("${\"net\":{") && line.contains(",\"kv\":{"),
         "STATS reply malformed: {line}"
     );
     assert!(line.contains("\"sets\":"), "STATS missing counters: {line}");
@@ -212,7 +218,7 @@ fn assert_stats_reply(reply: &str) {
 
 #[test]
 fn tcp_stats_replies_frame_correctly_under_byte_splits() {
-    let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+    let (_sma, _frontend, mut stream) = raw_tcp_server();
     // STATS interleaved with scripted commands, the whole exchange
     // written one byte at a time — the JSON payload must come back as
     // exactly one `$` line wherever the read boundaries fall.
@@ -232,12 +238,11 @@ fn tcp_stats_replies_frame_correctly_under_byte_splits() {
     assert_stats_reply(&lines[1]);
     assert_eq!(lines[2].trim_end(), "+PONG");
     assert_stats_reply(&lines[3]);
-    server.shutdown();
 }
 
 #[test]
 fn tcp_half_stats_frame_then_disconnect_is_dropped() {
-    let (_sma, server, frontend, mut stream) = raw_tcp_server();
+    let (_sma, frontend, mut stream) = raw_tcp_server();
     // Half a STATS verb, then a hard disconnect: the orphan frame must
     // not execute or wedge the server.
     stream.write_all(b"STAT").expect("write");
@@ -248,7 +253,6 @@ fn tcp_half_stats_frame_then_disconnect_is_dropped() {
     let mut reply = String::new();
     reader.read_line(&mut reply).expect("read");
     assert_stats_reply(&reply);
-    server.shutdown();
 }
 
 proptest! {
@@ -262,7 +266,7 @@ proptest! {
         n_cmds in 4usize..16,
         cuts in proptest::collection::btree_set(1usize..220, 0..10),
     ) {
-        let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+        let (_sma, _frontend, mut stream) = raw_tcp_server();
         let (mut wire, expected) = scripted_commands(n_cmds);
         wire.extend_from_slice(b"STATS\n");
         let mut at = 0usize;
@@ -281,7 +285,6 @@ proptest! {
         let mut stats = String::new();
         reader.read_line(&mut stats).expect("read stats");
         assert_stats_reply(&stats);
-        server.shutdown();
     }
 }
 
