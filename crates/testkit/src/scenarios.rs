@@ -434,7 +434,11 @@ pub fn cold_tier_flood() -> ScenarioSpec {
     let mut s = ScenarioSpec::baseline("cold_tier_flood");
     s.kv = true;
     s.kv_shards = 2;
-    s.kv_cold_arena_bytes = 1 << 10;
+    // Below the 512-byte segment floor: the arena holds one open
+    // segment, so every sealed segment goes to the spill log. The
+    // testkit's values compress ~50×; at 1 KiB about every second run
+    // never pushed a single segment out and spilled nothing.
+    s.kv_cold_arena_bytes = 1 << 8;
     s.kv_spill = true;
     s.capacity_pages = 12;
     s.initial_budget_pages = 4;

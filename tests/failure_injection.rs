@@ -143,8 +143,13 @@ fn reclaim_during_iteration_is_serialised() {
     for i in 0..2000 {
         list.push_back(i).unwrap();
     }
+    // The reclaimer holds off until one walk is through: left to the
+    // scheduler, twenty reclaims can empty the list before the walker
+    // first runs, and then nothing was walked at all.
+    let walked_once = Arc::new(AtomicUsize::new(0));
     let walker = {
         let list = Arc::clone(&list);
+        let walked_once = Arc::clone(&walked_once);
         std::thread::spawn(move || {
             let mut walks = 0u64;
             for _ in 0..50 {
@@ -158,6 +163,7 @@ fn reclaim_during_iteration_is_serialised() {
                     prev = Some(v);
                     walks += 1;
                 });
+                walked_once.store(1, Ordering::Release);
             }
             walks
         })
@@ -165,6 +171,9 @@ fn reclaim_during_iteration_is_serialised() {
     let reclaimer = {
         let sma = Arc::clone(&sma);
         std::thread::spawn(move || {
+            while walked_once.load(Ordering::Acquire) == 0 {
+                std::thread::yield_now();
+            }
             for _ in 0..20 {
                 sma.reclaim(2);
                 std::thread::yield_now();

@@ -1,8 +1,10 @@
 //! Protocol robustness: arbitrary client input must never crash the
 //! KV server or the unix-socket daemon — only produce error replies.
-#![cfg(target_os = "linux")]
+//! The `tcp_*` tests need the epoll reactor and are Linux-only; the
+//! parser, store, decoder and unix-socket tests run everywhere.
 
 use std::io::{BufRead, BufReader, Write};
+#[cfg(target_os = "linux")]
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 
@@ -11,7 +13,9 @@ use proptest::prelude::*;
 use softmem::core::{MachineMemory, Priority, Sma};
 use softmem::daemon::uds::UdsSmdServer;
 use softmem::daemon::{Smd, SmdConfig};
-use softmem::kv::{CommandRef, ReactorConfig, ReactorFrontend, Response, ShardedStore, Store};
+use softmem::kv::{CommandRef, Response, Store};
+#[cfg(target_os = "linux")]
+use softmem::kv::{ReactorConfig, ReactorFrontend, ShardedStore};
 
 /// Printable-ish junk lines (no newlines — the framing layer splits
 /// on them anyway).
@@ -51,6 +55,7 @@ proptest! {
     }
 }
 
+#[cfg(target_os = "linux")]
 /// Starts a TCP-fronted KV server and returns a raw client stream
 /// (bypassing `TcpKvClient` so tests control framing byte by byte).
 /// Dropping the frontend stops the server.
@@ -68,8 +73,10 @@ fn raw_tcp_server() -> (Sma2, ReactorFrontend, TcpStream) {
     (sma, frontend, stream)
 }
 
+#[cfg(target_os = "linux")]
 type Sma2 = std::sync::Arc<Sma>;
 
+#[cfg(target_os = "linux")]
 /// A scripted exchange whose per-command replies are known up front.
 /// Every reply here is a single line, so reply framing is trivial to
 /// check: one line back per command, in order.
@@ -91,6 +98,7 @@ fn scripted_commands(n: usize) -> (Vec<u8>, Vec<String>) {
     (wire, expected)
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_pipelined_frames_are_answered_in_order() {
     let (_sma, _frontend, mut stream) = raw_tcp_server();
@@ -106,6 +114,7 @@ fn tcp_pipelined_frames_are_answered_in_order() {
     }
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_partial_single_byte_writes_still_frame_correctly() {
     let (_sma, _frontend, mut stream) = raw_tcp_server();
@@ -127,6 +136,7 @@ fn tcp_partial_single_byte_writes_still_frame_correctly() {
     }
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_half_frame_then_disconnect_does_not_wedge_the_server() {
     let (_sma, frontend, mut stream) = raw_tcp_server();
@@ -150,6 +160,7 @@ proptest! {
     /// Any chunking of the pipelined byte stream — splits may land
     /// mid-verb, mid-key, or between frames — yields byte-identical
     /// replies in command order.
+    #[cfg(target_os = "linux")]
     #[test]
     fn tcp_replies_are_invariant_under_arbitrary_frame_splits(
         n_cmds in 4usize..24,
@@ -200,6 +211,7 @@ proptest! {
     }
 }
 
+#[cfg(target_os = "linux")]
 /// Checks one STATS bulk reply line: `$` sigil, single-line JSON with
 /// the network plane's section, the `kv` registry and a counter that
 /// proves real content.
@@ -216,6 +228,7 @@ fn assert_stats_reply(reply: &str) {
     );
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_stats_replies_frame_correctly_under_byte_splits() {
     let (_sma, _frontend, mut stream) = raw_tcp_server();
@@ -240,6 +253,7 @@ fn tcp_stats_replies_frame_correctly_under_byte_splits() {
     assert_stats_reply(&lines[3]);
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_half_stats_frame_then_disconnect_is_dropped() {
     let (_sma, frontend, mut stream) = raw_tcp_server();
@@ -261,6 +275,7 @@ proptest! {
     /// STATS pipelined among scripted commands under arbitrary frame
     /// splits: the scripted replies stay byte-identical and every
     /// STATS reply is a well-formed single-line JSON bulk.
+    #[cfg(target_os = "linux")]
     #[test]
     fn tcp_stats_is_invariant_under_arbitrary_frame_splits(
         n_cmds in 4usize..16,
