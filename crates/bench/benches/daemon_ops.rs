@@ -1,13 +1,11 @@
-//! Criterion bench: daemon request latency across the three deployment
+//! Criterion bench: daemon request latency across the two deployment
 //! modes — the communication cost the paper's case (2) amortises.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use softmem_core::{MachineMemory, SmaConfig};
-use softmem_daemon::service::SmdService;
 use softmem_daemon::uds::{UdsProcess, UdsSmdServer};
 use softmem_daemon::{Smd, SmdConfig, SoftProcess};
-use std::sync::Arc;
 
 fn bench_request_release_roundtrip(c: &mut Criterion) {
     let mut group = c.benchmark_group("daemon_request_release");
@@ -23,26 +21,6 @@ fn bench_request_release_roundtrip(c: &mut Criterion) {
                 p.release_slack(1).expect("released");
             })
         });
-    }
-
-    // Threaded service: two crossbeam channel hops per call.
-    {
-        let machine = MachineMemory::unbounded();
-        let service = SmdService::start(SmdConfig::new(&machine, 1 << 20).initial_budget(0));
-        let p = SoftProcess::spawn_with(
-            Arc::new(service.client()),
-            "bench",
-            SmaConfig::new(Arc::clone(&machine), 0),
-        )
-        .expect("spawn");
-        group.bench_function("threaded_service", |b| {
-            b.iter(|| {
-                p.request_pages(1).expect("granted");
-                p.release_slack(1).expect("released");
-            })
-        });
-        drop(p);
-        service.shutdown();
     }
 
     // Unix socket: a real IPC round trip (write + read per call).

@@ -61,7 +61,7 @@ pub fn run_overreclaim(
     // The requester asks page by page: with no over-reclamation the
     // daemon must run a pressure round for every single page.
     let requester = SoftProcess::spawn_with(
-        Arc::clone(&smd) as Arc<dyn softmem_daemon::DaemonHandle>,
+        &smd,
         "requester",
         SmaConfig::new(Arc::clone(&machine), 0).auto_grow_chunk(1),
     )

@@ -9,8 +9,8 @@ use softmem_core::Sma;
 ///
 /// The default implementation ([`DirectChannel`]) calls the process's
 /// SMA synchronously — our threads-as-processes substitution. The
-/// threaded [`crate::service`] mode routes the same calls over message
-/// channels instead; the daemon logic is identical either way.
+/// [`crate::uds`] deployment routes the same calls over a unix socket
+/// instead; the daemon logic is identical either way.
 pub trait ReclaimChannel: Send + Sync {
     /// Pages the process currently holds physically in soft memory.
     fn soft_pages_held(&self) -> usize;

@@ -7,68 +7,15 @@ use parking_lot::Mutex;
 use softmem_core::budget::Grant;
 use softmem_core::{BudgetSource, Sma, SmaConfig, SoftError, SoftResult};
 
-use crate::account::{DirectChannel, ReclaimChannel};
-use crate::smd::{Pid, Smd, SmdStats};
-
-/// Anything that speaks the daemon protocol: the in-process [`Smd`]
-/// directly, or a [`crate::service::SmdClient`] over channels.
-pub trait DaemonHandle: Send + Sync {
-    /// Registers a process; returns `(pid, initial budget grant)`.
-    fn register(&self, name: &str, channel: Arc<dyn ReclaimChannel>) -> (Pid, usize);
-
-    /// Requests additional budget pages (exact amount).
-    fn request_pages(&self, pid: Pid, pages: usize) -> SoftResult<usize> {
-        self.request_range(pid, pages, pages)
-    }
-
-    /// Requests at least `need` pages, opportunistically up to `want`.
-    fn request_range(&self, pid: Pid, need: usize, want: usize) -> SoftResult<usize>;
-
-    /// Returns budget pages to the pool.
-    fn release_pages(&self, pid: Pid, pages: usize) -> SoftResult<usize>;
-
-    /// Reports the process's traditional-memory footprint.
-    fn report_traditional(&self, pid: Pid, pages: usize) -> SoftResult<()>;
-
-    /// Deregisters the process.
-    fn deregister(&self, pid: Pid) -> SoftResult<()>;
-
-    /// Daemon statistics.
-    fn stats(&self) -> SmdStats;
-}
-
-impl DaemonHandle for Smd {
-    fn register(&self, name: &str, channel: Arc<dyn ReclaimChannel>) -> (Pid, usize) {
-        Smd::register(self, name, channel)
-    }
-
-    fn request_range(&self, pid: Pid, need: usize, want: usize) -> SoftResult<usize> {
-        Smd::request_range(self, pid, need, want)
-    }
-
-    fn release_pages(&self, pid: Pid, pages: usize) -> SoftResult<usize> {
-        Smd::release_pages(self, pid, pages)
-    }
-
-    fn report_traditional(&self, pid: Pid, pages: usize) -> SoftResult<()> {
-        Smd::report_traditional(self, pid, pages)
-    }
-
-    fn deregister(&self, pid: Pid) -> SoftResult<()> {
-        Smd::deregister(self, pid)
-    }
-
-    fn stats(&self) -> SmdStats {
-        Smd::stats(self)
-    }
-}
+use crate::account::DirectChannel;
+use crate::smd::{Pid, Smd};
 
 /// The [`BudgetSource`] installed into a process's SMA: budget-growth
 /// requests become daemon requests (§5 case 2 — "communication with
 /// the memory daemon to increase resource budget is amortized over
 /// many allocations" because the SMA requests in chunks).
 struct DaemonBudgetSource {
-    daemon: Weak<dyn DaemonHandle>,
+    daemon: Weak<Smd>,
     pid: Pid,
 }
 
@@ -91,7 +38,7 @@ impl BudgetSource for DaemonBudgetSource {
 /// machine model.
 pub struct SoftProcess {
     sma: Arc<Sma>,
-    daemon: Arc<dyn DaemonHandle>,
+    daemon: Arc<Smd>,
     pid: Pid,
     name: String,
     traditional_pages: Mutex<usize>,
@@ -102,32 +49,27 @@ impl SoftProcess {
     /// SMA configuration on the daemon's machine.
     pub fn spawn(smd: &Arc<Smd>, name: &str) -> SoftResult<Arc<Self>> {
         let cfg = SmaConfig::new(Arc::clone(&smd.config().machine), 0);
-        Self::spawn_with(Arc::clone(smd) as Arc<dyn DaemonHandle>, name, cfg)
+        Self::spawn_with(smd, name, cfg)
     }
 
-    /// Spawns a process with a custom SMA configuration against any
-    /// daemon handle (in-process or threaded service).
+    /// Spawns a process with a custom SMA configuration.
     ///
     /// `cfg.initial_budget_pages` is ignored: the daemon's
     /// registration grant is authoritative.
-    pub fn spawn_with(
-        daemon: Arc<dyn DaemonHandle>,
-        name: &str,
-        mut cfg: SmaConfig,
-    ) -> SoftResult<Arc<Self>> {
+    pub fn spawn_with(smd: &Arc<Smd>, name: &str, mut cfg: SmaConfig) -> SoftResult<Arc<Self>> {
         cfg.initial_budget_pages = 0;
         let sma = Sma::with_config(cfg);
         let channel = Arc::new(DirectChannel::new(Arc::clone(&sma)));
         // The daemon applies the registration grant through the
         // channel itself.
-        let (pid, _grant) = daemon.register(name, channel);
+        let (pid, _grant) = smd.register(name, channel);
         sma.set_budget_source(Arc::new(DaemonBudgetSource {
-            daemon: Arc::downgrade(&daemon),
+            daemon: Arc::downgrade(smd),
             pid,
         }));
         Ok(Arc::new(SoftProcess {
             sma,
-            daemon,
+            daemon: Arc::clone(smd),
             pid,
             name: name.to_string(),
             traditional_pages: Mutex::new(0),
@@ -317,5 +259,77 @@ mod tests {
         let s = smd.stats();
         assert!(s.procs.is_empty());
         assert_eq!(s.assigned_pages, 0);
+    }
+
+    #[test]
+    fn concurrent_processes_hammer_the_daemon() {
+        let machine = MachineMemory::new(4096);
+        let smd = Smd::new(SmdConfig::new(&machine, 512).initial_budget(0));
+        let handles: Vec<_> = (0..4u8)
+            .map(|t| {
+                let smd = Arc::clone(&smd);
+                std::thread::spawn(move || {
+                    let p = SoftProcess::spawn(&smd, &format!("p{t}")).unwrap();
+                    let q: SoftQueue<[u8; 1024]> =
+                        SoftQueue::new(p.sma(), "q", Priority::new(t.into()));
+                    for i in 0..400 {
+                        // Push and occasionally pop to churn budget both ways.
+                        q.push([t; 1024]).unwrap();
+                        if i % 5 == 0 {
+                            q.pop();
+                        }
+                    }
+                    q.len()
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), 320);
+        }
+        let s = smd.stats();
+        assert!(s.procs.is_empty());
+        assert_eq!(s.assigned_pages, 0);
+    }
+
+    #[test]
+    fn orphaned_sma_fails_allocations_without_panicking() {
+        let (_m, smd) = setup(64);
+        let p = SoftProcess::spawn(&smd, "p").unwrap();
+        let pid = p.pid();
+        let sma = Arc::clone(p.sma());
+        let sds = sma.register_sds("data", Priority::default());
+        drop(p);
+        // Deregistered: the SMA keeps the budget it was granted but can
+        // no longer grow it.
+        let past_budget = |sma: &Sma| {
+            (0..8)
+                .map(|_| sma.alloc_value(sds, [0u8; 4096]))
+                .find_map(Result::err)
+                .expect("allocations past the budget fail")
+        };
+        let exceeded = SoftError::BudgetExceeded {
+            requested_pages: 1,
+            available_pages: 0,
+        };
+        assert_eq!(past_budget(&sma), exceeded);
+        drop(smd);
+        assert_eq!(past_budget(&sma), exceeded);
+
+        // A budget source captured before the process went away (an
+        // allocation racing the drop) reaches the daemon itself.
+        let (_m, smd) = setup(64);
+        let source = DaemonBudgetSource {
+            daemon: Arc::downgrade(&smd),
+            pid,
+        };
+        assert_eq!(
+            source.grant_more(1, 1).unwrap_err(),
+            SoftError::UnknownProcess(pid)
+        );
+        drop(smd);
+        assert_eq!(
+            source.grant_more(1, 1).unwrap_err(),
+            SoftError::DaemonUnavailable
+        );
     }
 }

@@ -18,8 +18,6 @@
 //! * [`SoftProcess`] — the client runtime: glues one process's
 //!   [`Sma`](softmem_core::Sma) to the daemon (registration, budget
 //!   growth on allocation, servicing reclamation demands).
-//! * [`service`] — a threaded deployment mode: the SMD behind a message
-//!   channel with one event-loop thread, as a real daemon would run.
 //! * [`uds`] — a unix-domain-socket deployment: genuinely separate
 //!   processes (own SMAs, own address spaces) registering, requesting
 //!   budget and servicing reclamation demands over the socket.
@@ -61,12 +59,11 @@ mod account;
 mod client;
 mod metrics;
 pub mod policy;
-pub mod service;
 mod smd;
 pub mod uds;
 
 pub use account::{DirectChannel, ProcSnapshot, ProcUsage, ReclaimChannel, ReclaimReply};
-pub use client::{DaemonHandle, SoftProcess};
+pub use client::SoftProcess;
 pub use metrics::SmdMetrics;
 pub use policy::WeightPolicy;
 pub use smd::{Pid, ReclaimDecision, Smd, SmdConfig, SmdHook, SmdStats, TargetOutcome};

@@ -1,7 +1,7 @@
 //! The daemon core: accounts, grants, and the reclamation state
 //! machine.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,6 +102,10 @@ impl SmdConfig {
     }
 }
 
+/// Pressure rounds the decision log keeps; older rounds are dropped so
+/// a daemon nobody drains ([`Smd::take_decisions`]) stays bounded.
+const DECISION_LOG_CAPACITY: usize = 1024;
+
 struct Proc {
     name: String,
     budget_pages: usize,
@@ -112,7 +116,7 @@ struct Proc {
 struct SmdInner {
     procs: HashMap<Pid, Proc>,
     next_pid: Pid,
-    decisions: Vec<ReclaimDecision>,
+    decisions: VecDeque<ReclaimDecision>,
     grants_total: u64,
     denials_total: u64,
     reclaim_rounds_total: u64,
@@ -256,7 +260,7 @@ impl Smd {
             inner: Mutex::new(SmdInner {
                 procs: HashMap::new(),
                 next_pid: 1,
-                decisions: Vec::new(),
+                decisions: VecDeque::new(),
                 grants_total: 0,
                 denials_total: 0,
                 reclaim_rounds_total: 0,
@@ -565,7 +569,10 @@ impl Smd {
         let assigned_now: usize = inner.procs.values().map(|p| p.budget_pages).sum();
         let unassigned_now = self.cfg.capacity_pages.saturating_sub(assigned_now);
         let granted = unassigned_now >= need + unassigned;
-        inner.decisions.push(ReclaimDecision {
+        if inner.decisions.len() == DECISION_LOG_CAPACITY {
+            inner.decisions.pop_front();
+        }
+        inner.decisions.push_back(ReclaimDecision {
             requester: pid,
             requested_pages: want,
             need_pages: need,
@@ -672,9 +679,10 @@ impl Smd {
         flexible.into_iter().chain(inflexible).collect()
     }
 
-    /// Drains the decision log (audit records of pressure rounds).
+    /// Drains the decision log (audit records of the most recent
+    /// pressure rounds, oldest first).
     pub fn take_decisions(&self) -> Vec<ReclaimDecision> {
-        std::mem::take(&mut self.inner.lock().decisions)
+        std::mem::take(&mut self.inner.lock().decisions).into()
     }
 
     /// Snapshot of daemon accounting.
@@ -812,6 +820,24 @@ mod tests {
         assert_eq!(s.unassigned_pages(), 0);
         assert_eq!(s.grants_total, 2);
         assert!(smd.take_decisions().is_empty(), "no pressure yet");
+    }
+
+    #[test]
+    fn decision_log_keeps_only_the_newest_rounds() {
+        // No capacity and nobody to reclaim from: every request is one
+        // denied pressure round.
+        let smd = smd(0);
+        let (pid, _) = smd.register("a", FakeProc::new(0, 0));
+        let rounds = DECISION_LOG_CAPACITY + 10;
+        for pages in 1..=rounds {
+            assert!(smd.request_pages(pid, pages).is_err());
+        }
+        assert_eq!(smd.stats().reclaim_rounds_total, rounds as u64);
+        let log = smd.take_decisions();
+        assert_eq!(log.len(), DECISION_LOG_CAPACITY);
+        assert_eq!(log[0].requested_pages, 11, "the oldest rounds were dropped");
+        assert_eq!(log.last().unwrap().requested_pages, rounds);
+        assert!(smd.take_decisions().is_empty(), "take drains the log");
     }
 
     #[test]
@@ -1222,9 +1248,7 @@ mod tests {
         let s = smd.stats();
         assert!(s.procs.iter().all(|p| p.pid != ps));
         assert_eq!(s.lease_expiries_total, 1);
-        if softmem_telemetry::ENABLED {
-            assert_eq!(smd.metrics().lease_expiries_total.get(), 1);
-        }
+        assert_eq!(smd.metrics().lease_expiries_total.get(), 1);
     }
 
     #[test]

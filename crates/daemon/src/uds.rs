@@ -81,11 +81,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use softmem_core::budget::Grant;
@@ -121,7 +121,7 @@ struct RemoteChannel {
     /// round that is awaiting this very connection's `YIELD`.
     last_seen: Mutex<Instant>,
     /// In-flight demands awaiting a `YIELD`.
-    pending: Mutex<HashMap<u64, Sender<usize>>>,
+    pending: Mutex<HashMap<u64, SyncSender<usize>>>,
     next_req: AtomicU64,
     /// Set when the client hangs up: demands resolve to zero
     /// immediately instead of riding out the timeout (deregistration
@@ -212,7 +212,7 @@ impl ReclaimChannel for RemoteChannel {
         if uds_debug() {
             eprintln!("[daemon] demand {req_id} pages={pages} ch={:p}", self);
         }
-        let (tx, rx): (Sender<usize>, Receiver<usize>) = bounded(1);
+        let (tx, rx) = sync_channel::<usize>(1);
         self.pending.lock().insert(req_id, tx);
         if self.send_line(&format!("DEMAND {req_id} {pages}")).is_err() {
             self.pending.lock().remove(&req_id);
@@ -759,7 +759,7 @@ struct Conn {
 
 struct WaitSlot {
     id: u64,
-    tx: Sender<Reply>,
+    tx: SyncSender<Reply>,
 }
 
 struct ClientShared {
@@ -788,8 +788,8 @@ struct ClientShared {
     next_gen: AtomicU64,
     degraded_since: Mutex<Option<Instant>>,
     readers: Mutex<Vec<JoinHandle<()>>>,
-    /// Wakes the supervisor after a disconnect (bounded(1): coalesced).
-    wake_tx: Sender<()>,
+    /// Wakes the supervisor after a disconnect (capacity 1: coalesced).
+    wake_tx: SyncSender<()>,
     metrics: UdsClientMetrics,
 }
 
@@ -840,7 +840,7 @@ impl ClientShared {
             return Err(self.unreachable_err());
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         *self.waiting.lock() = Some(WaitSlot { id, tx });
         if Self::write_to(&writer, &build(id)).is_err() {
             self.clear_slot(id);
@@ -943,7 +943,7 @@ impl UdsProcess {
         cfg.initial_budget_pages = 0;
         let orphan_floor = cfg.orphan_budget_pages;
         let sma = Sma::with_config(cfg);
-        let (wake_tx, wake_rx) = bounded(1);
+        let (wake_tx, wake_rx) = sync_channel(1);
         let shared = Arc::new(ClientShared {
             sma,
             name: name.to_string(),
@@ -1665,9 +1665,7 @@ mod tests {
         wait_until("reconcile onto the new daemon", || {
             !p.is_degraded() && p.epoch() != epoch1
         });
-        if softmem_telemetry::ENABLED {
-            assert!(p.metrics().reconnects_total.get() >= 1);
-        }
+        assert!(p.metrics().reconnects_total.get() >= 1);
 
         // The new daemon adopted the client's *actual* holdings — no
         // pages lost, no ghost ledger, exactly one account.
@@ -1716,9 +1714,7 @@ mod tests {
                 reason: DenyReason::Degraded
             }
         );
-        if softmem_telemetry::ENABLED {
-            assert_eq!(p.metrics().degraded.get(), 1);
-        }
+        assert_eq!(p.metrics().degraded.get(), 1);
 
         // Heartbeat ticks shed slack toward max(held, orphan_floor):
         // an orphan must not silently starve the machine.
@@ -1763,9 +1759,7 @@ mod tests {
                 reason: DenyReason::Degraded
             }
         );
-        if softmem_telemetry::ENABLED {
-            assert!(p.metrics().stale_epochs_total.get() >= 1);
-        }
+        assert!(p.metrics().stale_epochs_total.get() >= 1);
         wait_until("reconcile after the lease reap", || {
             !p.is_degraded() && server.smd().stats().reconciles_total >= 1
         });
@@ -1814,9 +1808,7 @@ mod tests {
         let p = UdsProcess::connect_with(&path, "svc", SmaConfig::for_testing(0), fast_ccfg())
             .expect("connect");
         assert_eq!(p.request_range(8, 8).expect("real grant delivered"), 8);
-        if softmem_telemetry::ENABLED {
-            assert_eq!(p.metrics().mismatched_replies_total.get(), 1);
-        }
+        assert_eq!(p.metrics().mismatched_replies_total.get(), 1);
         assert_eq!(p.sma().budget_pages(), 12);
         fake.join().expect("fake daemon exits");
     }

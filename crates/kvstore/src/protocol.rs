@@ -429,34 +429,8 @@ pub(crate) fn render_info(store: &Store) -> String {
     // its fields with `;` separators — exactly the telemetry
     // registry's flat rendering, so there is no bespoke formatting to
     // drift out of sync with the metric set.
-    if softmem_telemetry::ENABLED {
-        store.refresh_gauges();
-        store.metrics().snapshot().render_flat()
-    } else {
-        // Telemetry compiled out: INFO still reports the ground-truth
-        // statistics, in the registry's field order.
-        let s = store.stats();
-        format!(
-            "keys:{};soft_bytes:{};soft_pages:{};hits:{};misses:{};sets:{};\
-             reclaimed_entries:{};reclaimed_bytes:{};degraded_denies:{};\
-             cold_demotions:{};cold_hits:{};spill_hits:{};spill_writes:{};\
-             cold_corruptions:{}",
-            store.dbsize(),
-            store.soft_bytes(),
-            store.soft_pages(),
-            s.hits,
-            s.misses,
-            s.sets,
-            s.reclaimed_entries,
-            s.reclaimed_bytes,
-            s.degraded_denies,
-            s.cold_demotions,
-            s.cold_hits,
-            s.spill_hits,
-            s.spill_writes,
-            s.cold_corruptions,
-        )
-    }
+    store.refresh_gauges();
+    store.metrics().snapshot().render_flat()
 }
 
 pub(crate) fn render_stats(store: &Store) -> String {
@@ -871,9 +845,7 @@ mod tests {
         if let Response::Bulk(Some(info)) = CommandRef::Info.execute(&store) {
             let text = String::from_utf8(info).unwrap();
             assert!(text.contains("keys:0"), "{text}");
-            if softmem_telemetry::ENABLED {
-                assert!(text.contains("hits:1"), "{text}");
-            }
+            assert!(text.contains("hits:1"), "{text}");
         } else {
             panic!("INFO must return bulk");
         }
@@ -895,10 +867,8 @@ mod tests {
         assert!(!text.contains('\n'), "STATS must be one line: {text}");
         assert!(text.contains("\"hits\":"), "{text}");
         assert!(text.contains("\"op_ns\":"), "{text}");
-        if softmem_telemetry::ENABLED {
-            assert!(text.contains("\"hits\":1"), "{text}");
-            assert!(text.contains("\"keys\":1"), "{text}");
-        }
+        assert!(text.contains("\"hits\":1"), "{text}");
+        assert!(text.contains("\"keys\":1"), "{text}");
         // The reply survives an encode/decode round trip intact.
         let text = String::from_utf8(wire(&CommandRef::Stats.execute(&store))).unwrap();
         let decoded = Response::decode(&text).unwrap();

@@ -2492,9 +2492,7 @@ mod tests {
         assert_eq!(replies.len(), 3);
         let stats = fe.stats();
         assert_eq!(stats.overload_sheds_total.load(Ordering::Acquire), 4);
-        if softmem_telemetry::ENABLED {
-            assert_eq!(fe.metrics().overload_sheds.get(), 4);
-        }
+        assert_eq!(fe.metrics().overload_sheds.get(), 4);
         await_true(|| stats.quiesced(), "quiescence");
         assert_ledger(stats);
     }

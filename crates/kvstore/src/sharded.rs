@@ -357,8 +357,7 @@ impl ShardedStore {
     /// The `INFO` rendering for this engine.
     ///
     /// One shard renders exactly like the standalone store (the
-    /// registry's flat form, or the ground-truth fields with telemetry
-    /// compiled out). Multiple shards render an aggregated machine
+    /// registry's flat form). Multiple shards render an aggregated machine
     /// view — ground-truth totals prefixed with the shard count, in
     /// the same field order.
     pub fn info_string(&self) -> String {

@@ -794,9 +794,7 @@ mod tests {
         let stats = s.stats();
         assert!(stats.degraded_denies > 0, "outage was counted");
         assert!(stats.reclaimed_entries > 0, "room came from shedding");
-        if softmem_telemetry::ENABLED {
-            assert_eq!(s.metrics().degraded_denies.get(), stats.degraded_denies);
-        }
+        assert_eq!(s.metrics().degraded_denies.get(), stats.degraded_denies);
         assert!(sma.budget_pages() <= 8, "no growth happened");
     }
 
@@ -1129,15 +1127,13 @@ mod tests {
         let st = s.stats();
         assert!(st.cold_corruptions > 0, "{st:?}");
         assert!(tier.audit().is_empty(), "{:?}", tier.audit());
-        if softmem_telemetry::ENABLED {
-            s.refresh_gauges();
-            assert_eq!(
-                s.metrics().cold_corruptions.get(),
-                st.cold_corruptions as i64
-            );
-            assert_eq!(s.metrics().cold_demotions.get(), st.cold_demotions);
-            assert_eq!(s.metrics().cold_hits.get(), st.cold_hits);
-        }
+        s.refresh_gauges();
+        assert_eq!(
+            s.metrics().cold_corruptions.get(),
+            st.cold_corruptions as i64
+        );
+        assert_eq!(s.metrics().cold_demotions.get(), st.cold_demotions);
+        assert_eq!(s.metrics().cold_hits.get(), st.cold_hits);
     }
 
     #[test]

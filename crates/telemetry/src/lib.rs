@@ -8,33 +8,15 @@
 //! registration (the only locking, allocating operation) happens once
 //! at construction time.
 //!
-//! The whole crate is gated on the `enabled` feature (on by default).
-//! With `--no-default-features` every primitive compiles to a
-//! zero-sized no-op, registries still remember their metric *names*
-//! (so snapshots render zeros rather than disappearing), and the
-//! public API is unchanged — callers never need `cfg` guards.
-//! Downstream code that must *branch* on instrumentation (tests,
-//! invariant checkers) reads the [`ENABLED`] constant instead of
-//! inspecting cargo features, so feature unification across the
-//! workspace cannot produce a crate that disagrees with the shim.
-//!
 //! Latency is recorded in nanoseconds via [`Timer`]. For hot paths,
 //! [`Timer::start_sampled`] times one in [`SAMPLE_EVERY`] operations
 //! (driven by a counter the caller was bumping anyway), which keeps
 //! the instrumented alloc path within its <2% overhead budget.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
-
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Whether instrumentation is compiled in. Runtime code that must
-/// behave differently under `--no-default-features` (e.g. the
-/// metrics-consistency invariant family) branches on this constant.
-pub const ENABLED: bool = cfg!(feature = "enabled");
 
 /// Sampled timers fire when `n & SAMPLE_MASK == 0`.
 pub const SAMPLE_MASK: u64 = 63;
@@ -72,7 +54,6 @@ pub fn bucket_bounds(b: usize) -> (u64, u64) {
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     v: AtomicU64,
 }
 
@@ -80,7 +61,6 @@ impl Counter {
     /// A counter at zero.
     pub const fn new() -> Self {
         Counter {
-            #[cfg(feature = "enabled")]
             v: AtomicU64::new(0),
         }
     }
@@ -88,40 +68,26 @@ impl Counter {
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         self.v.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Adds one event, returning the *previous* count — the idiom that
     /// feeds [`Timer::start_sampled`] without a second atomic op.
     #[inline]
     pub fn inc(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.v.fetch_add(1, Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.v.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Current count (always 0 when instrumentation is compiled out).
+    /// Current count.
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.v.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.v.load(Ordering::Relaxed)
     }
 }
 
 /// A point-in-time signed level (occupancy, slack, queue depth).
 #[derive(Debug, Default)]
 pub struct Gauge {
-    #[cfg(feature = "enabled")]
     v: AtomicI64,
 }
 
@@ -129,7 +95,6 @@ impl Gauge {
     /// A gauge at zero.
     pub const fn new() -> Self {
         Gauge {
-            #[cfg(feature = "enabled")]
             v: AtomicI64::new(0),
         }
     }
@@ -137,30 +102,19 @@ impl Gauge {
     /// Overwrites the level.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(feature = "enabled")]
         self.v.store(v, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
     /// Adjusts the level by a delta.
     #[inline]
     pub fn add(&self, d: i64) {
-        #[cfg(feature = "enabled")]
         self.v.fetch_add(d, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = d;
     }
 
-    /// Current level (always 0 when instrumentation is compiled out).
+    /// Current level.
     #[inline]
     pub fn get(&self) -> i64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.v.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.v.load(Ordering::Relaxed)
     }
 }
 
@@ -169,15 +123,10 @@ impl Gauge {
 /// conditional min/max updates — no locks, no allocation, no floats.
 #[derive(Debug)]
 pub struct Histogram {
-    #[cfg(feature = "enabled")]
     count: AtomicU64,
-    #[cfg(feature = "enabled")]
     sum: AtomicU64,
-    #[cfg(feature = "enabled")]
     min: AtomicU64,
-    #[cfg(feature = "enabled")]
     max: AtomicU64,
-    #[cfg(feature = "enabled")]
     buckets: [AtomicU64; BUCKETS],
 }
 
@@ -191,15 +140,10 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            #[cfg(feature = "enabled")]
             count: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
             sum: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
             min: AtomicU64::new(u64::MAX),
-            #[cfg(feature = "enabled")]
             max: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -207,27 +151,17 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.min.fetch_min(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-            self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.min.fetch_min(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
     #[inline]
     pub fn count(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.count.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Folds every sample of `other` into `self`. Because buckets are
@@ -235,22 +169,17 @@ impl Histogram {
     /// histograms yields the same state as recording the concatenated
     /// sample streams into one.
     pub fn merge_from(&self, other: &Histogram) {
-        #[cfg(feature = "enabled")]
-        {
-            self.count
-                .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.sum
-                .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.min
-                .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.max
-                .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-            for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-                dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
+        self.count
+            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.sum
+            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.min
+            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max
+            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
+            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = other;
     }
 
     /// A consistent-enough copy of the current state. (Individual
@@ -258,37 +187,26 @@ impl Histogram {
     /// snapshot by in-flight samples, which is fine for telemetry and
     /// exact at the testkit's quiesce points.)
     pub fn snapshot(&self) -> HistogramSnapshot {
-        #[cfg(feature = "enabled")]
-        {
-            let count = self.count.load(Ordering::Relaxed);
-            let buckets: Vec<(usize, u64)> = self
-                .buckets
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (i, b.load(Ordering::Relaxed)))
-                .filter(|&(_, n)| n > 0)
-                .collect();
-            let min = if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            };
-            let max = self.max.load(Ordering::Relaxed);
-            HistogramSnapshot {
-                count,
-                sum: self.sum.load(Ordering::Relaxed),
-                min,
-                max,
-                buckets,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
+        let count = self.count.load(Ordering::Relaxed);
+        let buckets: Vec<(usize, u64)> = self
+            .buckets
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (i, b.load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        let min = if count == 0 {
+            0
+        } else {
+            self.min.load(Ordering::Relaxed)
+        };
+        let max = self.max.load(Ordering::Relaxed);
         HistogramSnapshot {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            buckets: Vec::new(),
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+            min,
+            max,
+            buckets,
         }
     }
 }
@@ -299,7 +217,6 @@ impl Histogram {
 #[derive(Debug)]
 #[must_use = "a Timer only records when observed"]
 pub struct Timer {
-    #[cfg(feature = "enabled")]
     start: Option<Instant>,
 }
 
@@ -308,7 +225,6 @@ impl Timer {
     #[inline]
     pub fn start() -> Self {
         Timer {
-            #[cfg(feature = "enabled")]
             start: Some(Instant::now()),
         }
     }
@@ -318,16 +234,8 @@ impl Timer {
     /// (see [`Counter::inc`]).
     #[inline]
     pub fn start_sampled(n: u64) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Timer {
-                start: (n & SAMPLE_MASK == 0).then(Instant::now),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = n;
-            Timer {}
+        Timer {
+            start: (n & SAMPLE_MASK == 0).then(Instant::now),
         }
     }
 
@@ -335,22 +243,16 @@ impl Timer {
     /// fact not to measure.
     #[inline]
     pub fn inactive() -> Self {
-        Timer {
-            #[cfg(feature = "enabled")]
-            start: None,
-        }
+        Timer { start: None }
     }
 
     /// Records the elapsed nanoseconds into `hist` (if this timer was
     /// actually started).
     #[inline]
     pub fn observe(self, hist: &Histogram) {
-        #[cfg(feature = "enabled")]
         if let Some(start) = self.start {
             hist.record(start.elapsed().as_nanos() as u64);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = hist;
     }
 }
 
@@ -364,8 +266,6 @@ enum Metric {
 
 /// A named collection of metrics. Registration locks a mutex (do it at
 /// construction time); reads on the registered `Arc`s are lock-free.
-/// Names are retained even when instrumentation is compiled out, so a
-/// disabled build still renders a complete (all-zero) catalogue.
 #[derive(Debug, Default)]
 pub struct Registry {
     name: String,
@@ -681,17 +581,11 @@ mod tests {
         assert!(table.starts_with("[test]"));
         let flat = snap.render_flat();
         assert_eq!(flat.lines().count(), 1);
-        if ENABLED {
-            assert_eq!(snap.get("ops_total"), Some(&MetricValue::Counter(3)));
-            assert_eq!(snap.get("level"), Some(&MetricValue::Gauge(-2)));
-            assert!(json.contains("\"ops_total\":3"), "{json}");
-            assert!(json.contains("\"count\":1"), "{json}");
-            assert!(flat.contains("ops_total:3") && flat.contains("lat_ns.count:1"));
-        } else {
-            // Disabled builds keep the catalogue but read all zeros.
-            assert_eq!(snap.get("ops_total"), Some(&MetricValue::Counter(0)));
-            assert!(json.contains("\"ops_total\":0"), "{json}");
-        }
+        assert_eq!(snap.get("ops_total"), Some(&MetricValue::Counter(3)));
+        assert_eq!(snap.get("level"), Some(&MetricValue::Gauge(-2)));
+        assert!(json.contains("\"ops_total\":3"), "{json}");
+        assert!(json.contains("\"count\":1"), "{json}");
+        assert!(flat.contains("ops_total:3") && flat.contains("lat_ns.count:1"));
         let combined = combined_json(&[snap]);
         assert!(combined.starts_with("{\"test\":{"), "{combined}");
     }
@@ -704,12 +598,9 @@ mod tests {
         a.add(1);
         b.add(1);
         assert_eq!(reg.snapshot().metrics.len(), 1);
-        if ENABLED {
-            assert_eq!(a.get(), 2);
-        }
+        assert_eq!(a.get(), 2);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn histogram_percentiles_bracket_samples() {
         let h = Histogram::new();
@@ -730,7 +621,6 @@ mod tests {
         assert_eq!(s.percentile(0.0).0, 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn timers_record_and_sampling_skips() {
         let h = Histogram::new();
@@ -743,22 +633,5 @@ mod tests {
             Timer::start_sampled(c.inc()).observe(&h);
         }
         assert_eq!(h.count(), 3, "exactly 1 in {SAMPLE_EVERY} sampled");
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_mode_is_inert_and_zero_sized() {
-        const { assert!(!ENABLED) };
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Gauge>(), 0);
-        assert_eq!(std::mem::size_of::<Histogram>(), 0);
-        let c = Counter::new();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        let h = Histogram::new();
-        h.record(9);
-        Timer::start().observe(&h);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.snapshot().percentile(50.0), (0, 0));
     }
 }

@@ -2,7 +2,6 @@
 //! sorted-vector model: bucket counts conserve samples, min/max and
 //! percentile bounds bracket the true order statistics, and merging is
 //! lossless (merge(a, b) == record(a ++ b)).
-#![cfg(feature = "enabled")]
 
 use proptest::prelude::*;
 use softmem_telemetry::{bucket_bounds, bucket_index, Histogram};

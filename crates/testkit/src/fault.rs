@@ -49,8 +49,7 @@ pub enum ChaosFault {
     StealthQueueOp,
     /// Bumps a telemetry counter mirror with no ground-truth event
     /// behind it (a lying metric) →
-    /// [`InvariantFamily::MetricsConsistency`]. Only meaningful with
-    /// telemetry compiled in; a no-op (and uncatchable) without it.
+    /// [`InvariantFamily::MetricsConsistency`].
     ForgeCounter(u64),
 }
 

@@ -287,12 +287,8 @@ impl CheckScope<'_> {
     ///
     /// Checked at quiesce points only (workers parked), because
     /// mirrors and ground truth are updated by separate atomic writes
-    /// and may transiently disagree mid-operation. A no-op with
-    /// telemetry compiled out: there are no mirrors to certify.
+    /// and may transiently disagree mid-operation.
     pub fn check_metrics_consistency(&self, at: &str) -> Vec<Violation> {
-        if !softmem_telemetry::ENABLED {
-            return Vec::new();
-        }
         let mut defects: Vec<String> = Vec::new();
         for proc in self.procs {
             let m = proc.sma().metrics();
@@ -595,17 +591,12 @@ mod tests {
         assert!(families.contains(&InvariantFamily::BudgetConservation));
         assert!(families.contains(&InvariantFamily::GenerationSafety));
         assert!(families.contains(&InvariantFamily::CallbackAccounting));
-        if softmem_telemetry::ENABLED {
-            assert!(families.contains(&InvariantFamily::MetricsConsistency));
-        }
+        assert!(families.contains(&InvariantFamily::MetricsConsistency));
         machine.release(3); // undo the leak for a clean drop
     }
 
     #[test]
     fn metrics_consistency_cross_checks_every_layer() {
-        if !softmem_telemetry::ENABLED {
-            return;
-        }
         let (machine, smd, procs, pools, queues, stores) = scope_fixture();
         pools[0].insert(1024, 0x11).unwrap();
         stores[0].set(b"k", b"v").unwrap();

@@ -454,42 +454,40 @@ pub(crate) fn net_driver(
     }
     // The telemetry mirrors must agree with the ground-truth stats —
     // the same lying-metric law the store counters live under.
-    if softmem_telemetry::ENABLED {
-        let metrics = fe.metrics();
-        metrics.refresh(&stats);
-        let snap = metrics.snapshot();
-        let pairs: [(&str, u64); 6] = [
-            (
-                "accept_backoffs",
-                stats.accept_backoffs_total.load(Ordering::Acquire),
-            ),
-            ("conn_deadline_closes", deadline_closes),
-            ("overload_sheds", sheds),
-            ("worker_restarts", worker_restarts),
-            (
-                "reactor_restarts",
-                stats.reactor_restarts_total.load(Ordering::Acquire),
-            ),
-            (
-                "panic_error_replies",
-                stats.panic_error_replies_total.load(Ordering::Acquire),
-            ),
-        ];
-        for (name, truth) in pairs {
-            let mirrored = match snap.get(name) {
-                Some(MetricValue::Counter(v)) => Some(*v),
-                _ => None,
-            };
-            if mirrored != Some(truth) {
-                violations.push(Violation {
-                    family: InvariantFamily::MetricsConsistency,
-                    at: "net teardown".into(),
-                    detail: format!(
-                        "net telemetry mirror `{name}` reads {mirrored:?}, \
-                         ground truth is {truth}"
-                    ),
-                });
-            }
+    let metrics = fe.metrics();
+    metrics.refresh(&stats);
+    let snap = metrics.snapshot();
+    let pairs: [(&str, u64); 6] = [
+        (
+            "accept_backoffs",
+            stats.accept_backoffs_total.load(Ordering::Acquire),
+        ),
+        ("conn_deadline_closes", deadline_closes),
+        ("overload_sheds", sheds),
+        ("worker_restarts", worker_restarts),
+        (
+            "reactor_restarts",
+            stats.reactor_restarts_total.load(Ordering::Acquire),
+        ),
+        (
+            "panic_error_replies",
+            stats.panic_error_replies_total.load(Ordering::Acquire),
+        ),
+    ];
+    for (name, truth) in pairs {
+        let mirrored = match snap.get(name) {
+            Some(MetricValue::Counter(v)) => Some(*v),
+            _ => None,
+        };
+        if mirrored != Some(truth) {
+            violations.push(Violation {
+                family: InvariantFamily::MetricsConsistency,
+                at: "net teardown".into(),
+                detail: format!(
+                    "net telemetry mirror `{name}` reads {mirrored:?}, \
+                     ground truth is {truth}"
+                ),
+            });
         }
     }
     drop(fe); // joins reactors and shard workers before the runner's quiesce sweep

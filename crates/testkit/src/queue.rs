@@ -133,9 +133,6 @@ impl CountedQueue {
     /// Audits the telemetry mirror against the trusted hit counter
     /// (metrics-consistency family). Empty with telemetry disabled.
     pub fn audit_telemetry(&self) -> Vec<String> {
-        if !softmem_telemetry::ENABLED {
-            return Vec::new();
-        }
         let hits = self.callback_hits.load(Ordering::SeqCst);
         let mirror = self.telemetry_callbacks.get();
         if mirror != hits {

@@ -392,25 +392,51 @@ fn check_quiesced(
     }
 
     // Family 5: metrics consistency (mirrors vs ground truth).
-    if softmem_telemetry::ENABLED {
-        let m = smd.metrics();
+    let m = smd.metrics();
+    let counters = [
+        ("grants_total", m.grants_total.get(), stats.grants_total),
+        ("denials_total", m.denials_total.get(), stats.denials_total),
+        (
+            "lease_expiries_total",
+            m.lease_expiries_total.get(),
+            stats.lease_expiries_total,
+        ),
+        (
+            "reconciles_total",
+            m.reconciles_total.get(),
+            stats.reconciles_total,
+        ),
+        (
+            "reconcile_adopted_pages_total",
+            m.reconcile_adopted_pages_total.get(),
+            stats.reconcile_adopted_pages_total,
+        ),
+    ];
+    for (name, mirror, truth) in counters {
+        if mirror != truth {
+            v.push(Violation {
+                family: InvariantFamily::MetricsConsistency,
+                at: at.into(),
+                detail: format!("smd.{name} mirror {mirror} != ground truth {truth}"),
+            });
+        }
+    }
+    for ctx in ctxs {
+        let sm = ctx.store.metrics();
+        let ss = ctx.store.stats();
         let counters = [
-            ("grants_total", m.grants_total.get(), stats.grants_total),
-            ("denials_total", m.denials_total.get(), stats.denials_total),
+            ("hits", sm.hits.get(), ss.hits),
+            ("misses", sm.misses.get(), ss.misses),
+            ("sets", sm.sets.get(), ss.sets),
             (
-                "lease_expiries_total",
-                m.lease_expiries_total.get(),
-                stats.lease_expiries_total,
+                "reclaimed_entries",
+                sm.reclaimed_entries.get(),
+                ss.reclaimed_entries,
             ),
             (
-                "reconciles_total",
-                m.reconciles_total.get(),
-                stats.reconciles_total,
-            ),
-            (
-                "reconcile_adopted_pages_total",
-                m.reconcile_adopted_pages_total.get(),
-                stats.reconcile_adopted_pages_total,
+                "degraded_denies",
+                sm.degraded_denies.get(),
+                ss.degraded_denies,
             ),
         ];
         for (name, mirror, truth) in counters {
@@ -418,39 +444,11 @@ fn check_quiesced(
                 v.push(Violation {
                     family: InvariantFamily::MetricsConsistency,
                     at: at.into(),
-                    detail: format!("smd.{name} mirror {mirror} != ground truth {truth}"),
+                    detail: format!(
+                        "client `{}` kv.{name} mirror {mirror} != ground truth {truth}",
+                        ctx.process.name()
+                    ),
                 });
-            }
-        }
-        for ctx in ctxs {
-            let sm = ctx.store.metrics();
-            let ss = ctx.store.stats();
-            let counters = [
-                ("hits", sm.hits.get(), ss.hits),
-                ("misses", sm.misses.get(), ss.misses),
-                ("sets", sm.sets.get(), ss.sets),
-                (
-                    "reclaimed_entries",
-                    sm.reclaimed_entries.get(),
-                    ss.reclaimed_entries,
-                ),
-                (
-                    "degraded_denies",
-                    sm.degraded_denies.get(),
-                    ss.degraded_denies,
-                ),
-            ];
-            for (name, mirror, truth) in counters {
-                if mirror != truth {
-                    v.push(Violation {
-                        family: InvariantFamily::MetricsConsistency,
-                        at: at.into(),
-                        detail: format!(
-                            "client `{}` kv.{name} mirror {mirror} != ground truth {truth}",
-                            ctx.process.name()
-                        ),
-                    });
-                }
             }
         }
     }

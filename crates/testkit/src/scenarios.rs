@@ -785,8 +785,7 @@ pub fn chaos_stealth_pop() -> ScenarioSpec {
 }
 
 /// CHAOS: a telemetry counter is forged — the pages-reclaimed mirror
-/// advances with no reclamation behind it. Only registered with
-/// telemetry compiled in (the fault is a no-op otherwise).
+/// advances with no reclamation behind it.
 pub fn chaos_forged_counter() -> ScenarioSpec {
     let mut s = ScenarioSpec::baseline("chaos_forged_counter");
     s.fault.chaos = Some((ChaosFault::ForgeCounter(11), 1));
@@ -825,22 +824,19 @@ pub fn benign() -> Vec<ScenarioSpec> {
 
 /// Every chaos scenario with the family its fault must trip.
 pub fn chaos() -> Vec<(ScenarioSpec, InvariantFamily)> {
-    let mut specs = vec![
+    vec![
         chaos_leak_machine_pages(),
         chaos_forged_grant(),
         chaos_zombie_handle(),
         chaos_stealth_pop(),
-    ];
-    if softmem_telemetry::ENABLED {
-        specs.push(chaos_forged_counter());
-    }
-    specs
-        .into_iter()
-        .map(|s| {
-            let family = s.fault.chaos.expect("chaos scenario").0.target_family();
-            (s, family)
-        })
-        .collect()
+        chaos_forged_counter(),
+    ]
+    .into_iter()
+    .map(|s| {
+        let family = s.fault.chaos.expect("chaos scenario").0.target_family();
+        (s, family)
+    })
+    .collect()
 }
 
 /// Looks a scenario up by name across both registries.
@@ -885,8 +881,6 @@ mod tests {
     #[test]
     fn chaos_scenarios_cover_every_checkable_family() {
         let families: std::collections::BTreeSet<_> = chaos().into_iter().map(|(_, f)| f).collect();
-        // Metrics consistency is only checkable (and thus only
-        // covered) when telemetry is compiled in.
-        assert_eq!(families.len(), 4 + softmem_telemetry::ENABLED as usize);
+        assert_eq!(families.len(), 5);
     }
 }

@@ -197,37 +197,35 @@ fn hammer(shards: usize) {
     // Quiesced: ground-truth StoreStats and the telemetry mirrors must
     // agree shard by shard (the metrics-consistency family's contract,
     // here exercised through the full TCP stack).
-    if cfg!(feature = "telemetry") {
-        engine.refresh_gauges();
-        let stats = engine.stats();
-        let mut sets = 0u64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut reclaimed = 0u64;
-        let mut keys = 0i64;
-        for snap in engine.snapshots() {
-            let counter = |name: &str| match snap.get(name) {
-                Some(MetricValue::Counter(v)) => *v,
-                other => panic!("{}/{name}: {other:?}", snap.name),
-            };
-            sets += counter("sets");
-            hits += counter("hits");
-            misses += counter("misses");
-            reclaimed += counter("reclaimed_entries");
-            match snap.get("keys") {
-                Some(MetricValue::Gauge(v)) => keys += *v,
-                other => panic!("{}/keys: {other:?}", snap.name),
-            }
+    engine.refresh_gauges();
+    let stats = engine.stats();
+    let mut sets = 0u64;
+    let mut hits = 0u64;
+    let mut misses = 0u64;
+    let mut reclaimed = 0u64;
+    let mut keys = 0i64;
+    for snap in engine.snapshots() {
+        let counter = |name: &str| match snap.get(name) {
+            Some(MetricValue::Counter(v)) => *v,
+            other => panic!("{}/{name}: {other:?}", snap.name),
+        };
+        sets += counter("sets");
+        hits += counter("hits");
+        misses += counter("misses");
+        reclaimed += counter("reclaimed_entries");
+        match snap.get("keys") {
+            Some(MetricValue::Gauge(v)) => keys += *v,
+            other => panic!("{}/keys: {other:?}", snap.name),
         }
-        assert_eq!(sets, stats.sets, "sets mirror diverged");
-        assert_eq!(hits, stats.hits, "hits mirror diverged");
-        assert_eq!(misses, stats.misses, "misses mirror diverged");
-        assert_eq!(
-            reclaimed, stats.reclaimed_entries,
-            "reclaimed_entries mirror diverged"
-        );
-        assert_eq!(keys as usize, engine.dbsize(), "keys gauge diverged");
     }
+    assert_eq!(sets, stats.sets, "sets mirror diverged");
+    assert_eq!(hits, stats.hits, "hits mirror diverged");
+    assert_eq!(misses, stats.misses, "misses mirror diverged");
+    assert_eq!(
+        reclaimed, stats.reclaimed_entries,
+        "reclaimed_entries mirror diverged"
+    );
+    assert_eq!(keys as usize, engine.dbsize(), "keys gauge diverged");
 
     drop(frontend);
 }

@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use softmem::core::{MachineMemory, Priority, SmaConfig, SoftError, PAGE_SIZE};
-use softmem::daemon::policy::PaperWeight;
-use softmem::daemon::service::SmdService;
+use softmem::core::{MachineMemory, Priority, SoftError, PAGE_SIZE};
 use softmem::daemon::{Smd, SmdConfig, SoftProcess};
 use softmem::sds::{SoftHashMap, SoftLinkedList, SoftQueue};
 
@@ -151,42 +149,6 @@ fn denied_processes_fail_gracefully_not_fatally() {
     hog.release_slack(usize::MAX).unwrap();
     assert!(q.push(7).is_ok());
     assert_eq!(q.pop(), Some(7));
-}
-
-#[test]
-fn threaded_service_behaves_like_in_process_daemon() {
-    let machine = MachineMemory::new(1024);
-    let smd = Smd::with_policy(
-        SmdConfig::new(&machine, 128).initial_budget(0),
-        Box::new(PaperWeight),
-    );
-    let service = SmdService::start_with(Arc::clone(&smd));
-    let mk = |name: &str| {
-        SoftProcess::spawn_with(
-            Arc::new(service.client()),
-            name,
-            SmaConfig::new(Arc::clone(&machine), 0),
-        )
-        .unwrap()
-    };
-    let a = mk("a");
-    let b = mk("b");
-    let qa: SoftQueue<[u8; PAGE_SIZE]> = SoftQueue::new(a.sma(), "qa", Priority::new(1));
-    let qb: SoftQueue<[u8; PAGE_SIZE]> = SoftQueue::new(b.sma(), "qb", Priority::new(1));
-    for _ in 0..120 {
-        qa.push([1u8; PAGE_SIZE]).unwrap();
-    }
-    for _ in 0..60 {
-        qb.push([2u8; PAGE_SIZE]).unwrap();
-    }
-    assert!(qa.len() < 120);
-    assert_eq!(qb.len(), 60);
-    drop(qa);
-    drop(qb);
-    drop(a);
-    drop(b);
-    assert_eq!(smd.stats().assigned_pages, 0);
-    service.shutdown();
 }
 
 #[test]
