@@ -21,8 +21,7 @@ use softmem_telemetry::combined_json;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick")
-        || std::env::var("SOFTMEM_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = args.iter().any(|a| a == "--quick");
     let n = args
         .iter()
         .position(|a| a == "--n")

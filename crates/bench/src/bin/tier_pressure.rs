@@ -203,8 +203,7 @@ fn run_mode(mode: Mode, p: &Params, seed: u64) -> RunResult {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick")
-        || std::env::var("SOFTMEM_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
     let out = args
         .iter()

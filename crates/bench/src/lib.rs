@@ -1,9 +1,10 @@
 //! # softmem-bench — harnesses reproducing the paper's evaluation
 //!
-//! One binary per table/figure (see `src/bin/`) plus Criterion
-//! micro-benches (see `benches/`). This library holds the shared
-//! experiment implementations so the binaries, the benches, and the
-//! test suite all drive the *same* code:
+//! One binary per table/figure (see `src/bin/`), plus `tier_pressure`
+//! (the cold tier's hit-rate gate) and `telemetry_baseline` (the
+//! metric snapshot). This library holds the shared experiment
+//! implementations so the binaries and the test suite drive the
+//! *same* code:
 //!
 //! | paper artefact | module | binary |
 //! |---|---|---|

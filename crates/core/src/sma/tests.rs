@@ -957,6 +957,8 @@ fn guarded_read_never_observes_later_generation_bytes() {
     let sds = sma.register_sds("t", Priority::default());
     let handle = sma.alloc_bytes(sds, 256).unwrap();
     sma.with_bytes_mut(&handle, |b| b.fill(0xAB)).unwrap();
+    let other = sma.alloc_bytes(sds, 256).unwrap();
+    sma.with_bytes_mut(&other, |b| b.fill(0x5A)).unwrap();
     let entered = Arc::new(AtomicBool::new(false));
     let release = Arc::new(AtomicBool::new(false));
     let reader = {
@@ -987,6 +989,13 @@ fn guarded_read_never_observes_later_generation_bytes() {
     for _ in 0..8 {
         let _fresh = sma.alloc_value(sds, [0xCDu8; 256]).unwrap();
     }
+    // Readers do not serialise: a second guarded read, of another
+    // handle, completes while the first is still parked.
+    let seen = sma
+        .with_bytes(&other, |b| b.iter().filter(|&&x| x == 0x5A).count())
+        .unwrap();
+    assert_eq!(seen, 256);
+    assert!(!reader.is_finished(), "the first reader is still parked");
     release.store(true, Ordering::SeqCst);
     let intact = reader.join().unwrap().unwrap();
     assert_eq!(

@@ -11,6 +11,11 @@
 //! ```
 //!
 //! Prints an accounting snapshot whenever the assignment changes.
+//!
+//! Flags (each takes one value): `--socket` (default
+//! `/tmp/softmem-smd.sock`) and `--capacity-mib` (default 64). An
+//! unknown flag or a value that does not parse is an error (exit 2),
+//! never a silent default.
 
 use std::time::Duration;
 
@@ -18,26 +23,52 @@ use softmem_core::{bytes_to_pages, MachineMemory};
 use softmem_daemon::uds::UdsSmdServer;
 use softmem_daemon::{Smd, SmdConfig};
 
+/// Pages granted to each process when it registers.
+const INITIAL_BUDGET_PAGES: usize = 64;
+
+/// The command line, checked where it enters: every field holds a
+/// parsed value or its default.
+struct Opts {
+    socket: String,
+    capacity_mib: usize,
+}
+
+impl Opts {
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+        let mut opts = Opts {
+            socket: "/tmp/softmem-smd.sock".to_string(),
+            capacity_mib: 64,
+        };
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--socket" => opts.socket = value()?,
+                "--capacity-mib" => {
+                    let v = value()?;
+                    opts.capacity_mib = v
+                        .parse()
+                        .map_err(|_| format!("{flag}: {v:?} is not a number"))?;
+                }
+                other => return Err(format!("unknown flag {other:?}")),
+            }
+        }
+        Ok(opts)
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let socket = arg("--socket").unwrap_or_else(|| "/tmp/softmem-smd.sock".to_string());
-    let capacity_mib: usize = arg("--capacity-mib")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let initial_budget: usize = arg("--initial-budget-pages")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let Opts {
+        socket,
+        capacity_mib,
+    } = Opts::parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("smd_daemon: {msg}");
+        std::process::exit(2);
+    });
 
     let machine = MachineMemory::unbounded();
     let smd = Smd::new(
         SmdConfig::new(&machine, bytes_to_pages(capacity_mib * 1024 * 1024))
-            .initial_budget(initial_budget),
+            .initial_budget(INITIAL_BUDGET_PAGES),
     );
     let server = UdsSmdServer::bind(smd, &socket).expect("bind daemon socket");
     println!("softmem-smd: serving {capacity_mib} MiB of machine soft memory on {socket}");

@@ -113,7 +113,7 @@ mod linux {
         use std::sync::atomic::Ordering;
         use std::sync::Arc;
 
-        use softmem_core::{bytes_to_pages, Priority, Sma, SmaConfig};
+        use softmem_core::{bytes_to_pages, MachineMemory, Priority, Sma, SmaConfig};
         use softmem_daemon::uds::UdsProcess;
         use softmem_kv::{ReactorConfig, ReactorFrontend, ShardedStore};
 
@@ -122,17 +122,22 @@ mod linux {
         // soft memory, reclaiming from each other under pressure).
         let (_daemon_membership, sma) = match &opts.smd_socket {
             Some(socket) => {
-                let proc = UdsProcess::connect(socket, "kv-server", SmaConfig::for_testing(0))
-                    .expect("connect to the soft memory daemon");
+                let proc = UdsProcess::connect(
+                    socket,
+                    "kv-server",
+                    SmaConfig::new(MachineMemory::unbounded(), 0),
+                )
+                .expect("connect to the soft memory daemon");
                 println!("joined soft memory daemon at {socket}");
                 let sma = Arc::clone(proc.sma());
                 (Some(proc), sma)
             }
             None => (
                 None,
-                Sma::with_config(SmaConfig::for_testing(bytes_to_pages(
-                    opts.budget_mib * 1024 * 1024,
-                ))),
+                Sma::with_config(SmaConfig::new(
+                    MachineMemory::unbounded(),
+                    bytes_to_pages(opts.budget_mib * 1024 * 1024),
+                )),
             ),
         };
         let engine = ShardedStore::new(&sma, "keyspace", Priority::new(4), opts.shards);

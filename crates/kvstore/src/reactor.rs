@@ -303,7 +303,8 @@ pub(crate) fn new_eventfd() -> io::Result<File> {
 /// `ECONNRESET`, `EMFILE`, short reads, partial writes) and prove the
 /// error handling instead of trusting it. Production uses
 /// [`RealSysIo`]; the dynamic dispatch is one vtable hop per syscall,
-/// noise next to the syscall itself (the `conn_scaling` gate holds
+/// noise next to the syscall itself (the `pingpong` workload of the
+/// repository benchmark, one syscall round trip per request, runs
 /// with the shim in place).
 ///
 /// Implementations must be deterministic for a fixed seed and call

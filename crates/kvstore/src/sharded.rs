@@ -136,18 +136,6 @@ impl ShardedStore {
         Ok(ShardedStore { shards: stores })
     }
 
-    /// Builds an engine from pre-constructed shards — e.g. one store
-    /// per *allocator* for a shard-per-core deployment where each core
-    /// runs its own SMA registered with the machine daemon.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `stores` is empty.
-    pub fn from_stores(stores: Vec<Arc<Store>>) -> Self {
-        assert!(!stores.is_empty(), "an engine needs at least one shard");
-        ShardedStore { shards: stores }
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -160,11 +148,6 @@ impl ShardedStore {
         } else {
             (fnv1a(key) % self.shards.len() as u64) as usize
         }
-    }
-
-    /// Shard `i`'s store (panics when out of range).
-    pub fn shard(&self, i: usize) -> &Arc<Store> {
-        &self.shards[i]
     }
 
     /// Every shard, in index order.
@@ -801,5 +784,50 @@ mod tests {
         let after = e.dbsize();
         assert!(after < before);
         assert_eq!(e.stats().reclaimed_entries, (before - after) as u64);
+    }
+
+    #[test]
+    fn a_squeeze_in_one_shard_stalls_no_other_shard() {
+        // Shard 0's squeeze runs its eviction callbacks under shard
+        // 0's table lock, each sleeping 10 ms: emptying 128 entries
+        // takes over a second. Shard 1 shares only the SMA with it,
+        // so 1 000 SET+GET there finish while the squeeze still runs.
+        const VICTIMS: usize = 128;
+        const OPS: usize = 1_000;
+        let (_sma, e) = engine(2, 4096);
+        e.set_reclaim_cost(std::time::Duration::from_millis(10));
+        e.set_reclaim_cost_model(ReclaimCostModel::Sleep);
+        let keys_of = |shard: usize, n: usize| -> Vec<Vec<u8>> {
+            (0u32..)
+                .map(|i| format!("key-{i:05}").into_bytes())
+                .filter(|k| e.shard_of(k) == shard)
+                .take(n)
+                .collect()
+        };
+        for key in keys_of(0, VICTIMS) {
+            e.set(&key, &[7u8; 64]).unwrap();
+        }
+        let bystander = keys_of(1, OPS);
+        let victim = &e.shards()[0];
+        std::thread::scope(|scope| {
+            let squeeze = scope.spawn(|| victim.shed(usize::MAX));
+            // Inside the callbacks: one entry is done, the rest remain.
+            while victim.callback_time().is_zero() {
+                assert!(!squeeze.is_finished(), "squeeze ended before it was seen");
+                std::thread::yield_now();
+            }
+            for (i, key) in bystander.iter().enumerate() {
+                let value = format!("v{i}");
+                e.set(key, value.as_bytes()).unwrap();
+                assert_eq!(e.get(key), Some(value.into_bytes()));
+            }
+            assert!(
+                !squeeze.is_finished(),
+                "shard 1's ops waited for shard 0's squeeze to end"
+            );
+            squeeze.join().unwrap();
+        });
+        assert_eq!(e.shards()[0].dbsize(), 0);
+        assert_eq!(e.stats().reclaimed_entries, VICTIMS as u64);
     }
 }

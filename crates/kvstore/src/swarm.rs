@@ -4,10 +4,9 @@
 //! useless for driving thousands of concurrent connections from one
 //! thread. `Swarm` holds N nonblocking connections behind its own
 //! epoll [`Poller`](crate::reactor) and pipelines requests over all of
-//! them at a configurable depth, which is how both the `conn_scaling`
-//! bench (64→8192 clients) and the testkit's network scenarios
-//! (slow-reader backpressure, mass disconnect) generate traffic
-//! without a thread per simulated client.
+//! them at a configurable depth, which is how the testkit's network
+//! scenarios (slow-reader backpressure, mass disconnect) generate
+//! traffic without a thread per simulated client.
 //!
 //! Misbehaving-client controls are first-class because the testkit
 //! needs them: [`Swarm::stall`] turns a client into a slow reader
@@ -16,7 +15,6 @@
 //! hook for bounding memory), and [`Swarm::disconnect`] drops a
 //! connection on the floor mid-pipeline.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
@@ -36,8 +34,6 @@ pub struct RunOpts {
     pub pipeline: usize,
     /// Stop issuing and return once this much time has elapsed.
     pub deadline: Option<Duration>,
-    /// Record a latency sample every Nth request (`0` = none).
-    pub latency_sample_every: u64,
 }
 
 /// What a [`Swarm::run`] (or [`Swarm::drain`]) observed.
@@ -55,8 +51,6 @@ pub struct SwarmReport {
     pub disconnects: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
-    /// Sampled request→reply latencies.
-    pub latencies_ns: Vec<u64>,
 }
 
 struct ClientConn {
@@ -72,9 +66,6 @@ struct ClientConn {
     /// Requests issued / replies received in the current run.
     sent: u64,
     acked: u64,
-    /// Send-timestamps for latency sampling (one slot per request;
-    /// `None` for unsampled requests).
-    lat: VecDeque<Option<Instant>>,
     /// Slow reader: keeps sending, never reads.
     stalled: bool,
     want_read: bool,
@@ -116,7 +107,6 @@ impl Swarm {
                 array_extra: 0,
                 sent: 0,
                 acked: 0,
-                lat: VecDeque::new(),
                 stalled: false,
                 want_read: true,
                 want_write: false,
@@ -236,7 +226,6 @@ impl Swarm {
             per_client: 0,
             pipeline: 0,
             deadline: Some(timeout),
-            latency_sample_every: 0,
         };
         // per_client = 0 means top_up never generates anything; the
         // loop just flushes and reads until outstanding hits zero.
@@ -316,12 +305,7 @@ impl Swarm {
         // bound either — it only needs enough to keep the socket
         // saturated.
         while conn.sent < opts.per_client && conn.outstanding() < cap && conn.out.len() < 1 << 20 {
-            let req = conn.sent;
-            gen(idx, req, &mut conn.out);
-            let sample = opts.latency_sample_every > 0
-                && !conn.stalled
-                && req % opts.latency_sample_every == 0;
-            conn.lat.push_back(sample.then(Instant::now));
+            gen(idx, conn.sent, &mut conn.out);
             conn.sent += 1;
             report.sent += 1;
         }
@@ -453,11 +437,6 @@ impl Swarm {
 fn complete_reply(conn: &mut ClientConn, report: &mut SwarmReport) {
     conn.acked += 1;
     report.received += 1;
-    if let Some(Some(sent_at)) = conn.lat.pop_front() {
-        report
-            .latencies_ns
-            .push(sent_at.elapsed().as_nanos() as u64);
-    }
 }
 
 #[cfg(test)]
@@ -478,7 +457,6 @@ mod tests {
             per_client: 50,
             pipeline: 8,
             deadline: Some(Duration::from_secs(10)),
-            latency_sample_every: 4,
         };
         let report = swarm.run(&opts, |client, req, out| {
             out.extend_from_slice(format!("SET k-{client}-{req} v{req}\n").as_bytes());
@@ -487,7 +465,6 @@ mod tests {
         assert_eq!(report.received, 16 * 50, "{report:?}");
         assert_eq!(report.error_replies, 0);
         assert_eq!(report.io_errors, 0);
-        assert!(!report.latencies_ns.is_empty());
         assert_eq!(fe.engine().dbsize(), 16 * 50);
         // Reads mixed with MGET (array replies) frame correctly too.
         let report = swarm.run(&opts, |client, req, out| {
@@ -519,7 +496,6 @@ mod tests {
             per_client: 20,
             pipeline: 4,
             deadline: Some(Duration::from_secs(10)),
-            latency_sample_every: 0,
         };
         let report = swarm.run(&opts, |client, req, out| {
             out.extend_from_slice(format!("SET s-{client}-{req} v\n").as_bytes());

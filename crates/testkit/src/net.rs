@@ -243,7 +243,6 @@ pub(crate) fn net_driver(
             } else {
                 Duration::from_secs(30)
             }),
-            latency_sample_every: 0,
         };
         let report = swarm.run(&opts, |client, req, out| {
             if client < stalled {
