@@ -60,7 +60,11 @@ pub struct StoreMetrics {
     pub spill_compactions: Arc<Gauge>,
     /// Reclamation-callback duration (ns), one sample per entry lost.
     pub callback_ns: Arc<Histogram>,
-    /// Per-command execution latency (ns), across all verbs.
+    /// Commands executed by this store ([`crate::CommandRef::execute`]).
+    pub ops: Arc<Counter>,
+    /// Per-command execution latency (ns), across all verbs, sampled:
+    /// one in [`softmem_telemetry::SAMPLE_EVERY`] of `ops` is timed,
+    /// so at rest `op_ns.count == ops.div_ceil(SAMPLE_EVERY)`.
     pub op_ns: Arc<Histogram>,
 }
 
@@ -88,6 +92,7 @@ impl StoreMetrics {
             cold_corruptions: registry.gauge("cold_corruptions"),
             spill_compactions: registry.gauge("spill_compactions"),
             callback_ns: registry.histogram("callback_ns"),
+            ops: registry.counter("ops"),
             op_ns: registry.histogram("op_ns"),
             registry,
         }

@@ -282,11 +282,14 @@ impl<'a> CommandRef<'a> {
     }
 
     /// Executes against a store. (`Shutdown` is handled by the server
-    /// loop; here it just acknowledges.)
+    /// loop; here it just acknowledges.) Every call counts in the
+    /// store's `ops`; one in [`softmem_telemetry::SAMPLE_EVERY`] is
+    /// timed into `op_ns`.
     pub fn execute(&self, store: &Store) -> Response {
-        let timer = softmem_telemetry::Timer::start();
+        let metrics = store.metrics();
+        let timer = softmem_telemetry::Timer::start_sampled(metrics.ops.inc());
         let response = self.execute_inner(store);
-        timer.observe(&store.metrics().op_ns);
+        timer.observe(&metrics.op_ns);
         response
     }
 
@@ -355,10 +358,9 @@ impl<'a> CommandRef<'a> {
 }
 
 /// Splits a request line (terminator trimmed) at its first space into
-/// the verb and the rest — the one place that says where a verb ends,
-/// for [`CommandRef::parse`] and for the network plane's peek at the
-/// verbs it acts on itself.
-pub(crate) fn split_verb(line: &str) -> (&str, &str) {
+/// the verb and the rest — where [`CommandRef::parse`] says a verb
+/// ends.
+fn split_verb(line: &str) -> (&str, &str) {
     let line = line.trim_end_matches(['\r', '\n']);
     line.split_once(' ').unwrap_or((line, ""))
 }
@@ -442,7 +444,8 @@ pub(crate) fn render_stats(store: &Store) -> String {
 impl Response {
     /// Appends the encoded reply to `out` as raw bytes (always ends
     /// with `\n`). Bulk and array payloads are copied untouched, so
-    /// values that are not valid UTF-8 survive the wire.
+    /// values that are not valid UTF-8 survive the wire; a bulk
+    /// payload reserves its room first, so `out` grows at most once.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         use std::io::Write as _;
         match self {
@@ -453,6 +456,7 @@ impl Response {
             }
             Response::Bulk(None) => out.extend_from_slice(b"$-1\n"),
             Response::Bulk(Some(v)) => {
+                out.reserve(v.len() + 2);
                 out.push(b'$');
                 out.extend_from_slice(v);
                 out.push(b'\n');

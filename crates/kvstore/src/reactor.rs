@@ -31,10 +31,11 @@
 //!   ring, sequence completed replies back into per-connection write
 //!   buffers, and flush them when the socket is writable.
 //! * **Shard workers** (one per shard) drain their rings in batches,
-//!   hand each frame to [`crate::ShardedStore::execute`] (borrowed-slice
-//!   parse, then straight into the owning shard's store), encode
-//!   replies, and post them to the owning reactor's inbox with one
-//!   eventfd wake per reactor per batch.
+//!   parse each frame once (borrowed-slice [`crate::CommandRef::parse`]),
+//!   run it with their own shard as home
+//!   ([`crate::ShardedStore::execute_at`]), encode replies, and post
+//!   them to the owning reactor's inbox with one eventfd wake per
+//!   reactor per batch.
 //!
 //! Backpressure is explicit and per-connection: when a connection's
 //! write buffer crosses the high-water mark, its in-flight count hits
@@ -101,7 +102,7 @@ use std::time::{Duration, Instant};
 
 use softmem_telemetry::{Counter, Gauge, Registry, Snapshot};
 
-use crate::protocol::{next_frame, routing_key_of, split_verb, Response};
+use crate::protocol::{next_frame, routing_key_of, CommandRef, Response};
 use crate::sharded::ShardedStore;
 
 // ----------------------------------------------------------------------
@@ -1849,33 +1850,45 @@ fn post_replies(ctx: &WorkerCtx, out: &mut [Vec<Reply>]) {
 }
 
 /// Executes one raw frame; returns the encoded reply and whether the
-/// connection should close after it flushes. The engine answers every
-/// verb ([`ShardedStore::execute`]); the network plane itself acts on
-/// two of them — `SHUTDOWN` also stops the process, and `STATS` gets
-/// this plane's section spliced into the engine's snapshot.
+/// connection should close after it flushes. The frame is parsed once
+/// and runs with this worker's shard as its home
+/// ([`ShardedStore::execute_at`]): the reactor routed it by
+/// `routing_key_of`, which names the same key as the parse, and a
+/// keyless verb stays on the shard that received it. The network plane
+/// itself acts on two verbs — `SHUTDOWN` also stops the process, and
+/// `STATS` gets this plane's section spliced into the engine's
+/// snapshot.
 fn execute_frame(ctx: &WorkerCtx, frame: &[u8]) -> (Vec<u8>, bool) {
     let mut close_after = false;
-    let response = match std::str::from_utf8(frame) {
-        Ok(line) => {
-            let (verb, _) = split_verb(line);
-            if verb.eq_ignore_ascii_case("SHUTDOWN") {
+    let response = match std::str::from_utf8(frame).map(CommandRef::parse) {
+        Ok(Ok(CommandRef::Stats)) => {
+            // Refresh the telemetry gauges from ground truth while
+            // we're here.
+            ctx.metrics.refresh(&ctx.stats);
+            Response::Bulk(Some(
+                stats_json_with_net(&ctx.engine, &ctx.stats).into_bytes(),
+            ))
+        }
+        Ok(Ok(cmd)) => {
+            if matches!(cmd, CommandRef::Shutdown) {
                 close_after = true;
                 ctx.stats.shutdown_requested.store(true, Ordering::Release);
             }
-            if verb.eq_ignore_ascii_case("STATS") {
-                // Refresh the telemetry gauges from ground truth while
-                // we're here.
-                ctx.metrics.refresh(&ctx.stats);
-                Response::Bulk(Some(
-                    stats_json_with_net(&ctx.engine, &ctx.stats).into_bytes(),
-                ))
-            } else {
-                ctx.engine.execute(line)
-            }
+            debug_assert!(
+                cmd.routing_key()
+                    .is_none_or(|key| ctx.engine.shard_of(key) == ctx.shard),
+                "frame routed to shard {} but its key hashes elsewhere",
+                ctx.shard
+            );
+            ctx.engine.execute_at(ctx.shard, &cmd)
         }
+        Ok(Err(msg)) => Response::Error(msg),
         Err(_) => Response::Error("invalid UTF-8 in request".into()),
     };
-    let mut bytes = Vec::with_capacity(32);
+    // Unallocated until the encoder writes: a bulk reply reserves its
+    // whole payload first, so it costs one allocation, as does a
+    // short status or integer reply.
+    let mut bytes = Vec::new();
     response.encode_into(&mut bytes);
     (bytes, close_after)
 }
@@ -2829,5 +2842,35 @@ mod tests {
         }
         // The engine's own sections survive the splice.
         assert!(json.contains("\"kv0\""), "{json}");
+    }
+
+    #[test]
+    fn keyless_verbs_run_on_the_receiving_workers_shard() {
+        let (_sma, fe) = frontend(2);
+        // Connection ids follow accept order, and a keyless frame is
+        // routed by its connection id, so the first connection's PINGs
+        // go to worker 0 and the second's to worker 1. The round trip
+        // on `a` makes sure it was accepted before `b` connects.
+        let mut a = TcpKvClient::connect(fe.addr()).unwrap();
+        assert_eq!(a.request("PING").unwrap(), Response::Ok("PONG".into()));
+        let mut b = TcpKvClient::connect(fe.addr()).unwrap();
+        let pings = vec!["PING"; 100];
+        for client in [&mut a, &mut b] {
+            for reply in client.request_pipeline(&pings).unwrap() {
+                assert_eq!(reply, Response::Ok("PONG".into()));
+            }
+        }
+        let Response::Bulk(Some(json)) = a.request("STATS").unwrap() else {
+            panic!("STATS should return a bulk JSON blob");
+        };
+        let json = String::from_utf8(json).unwrap();
+        let ops = |shard: &str| -> u64 {
+            let section = &json[json.find(&format!("\"{shard}\":{{")).expect(shard)..];
+            let count = &section[section.find("\"ops\":").expect("ops counter") + 6..];
+            let end = count.find(|c: char| !c.is_ascii_digit()).unwrap();
+            count[..end].parse().unwrap()
+        };
+        assert!(ops("kv0") >= 100, "{json}");
+        assert!(ops("kv1") >= 100, "{json}");
     }
 }

@@ -379,8 +379,9 @@ impl ShardedStore {
     }
 
     /// Parses and executes one request line — the whole engine behind
-    /// one call, for in-process callers and for the reactor's shard
-    /// workers alike. A single-key command runs on the shard its key
+    /// one call, for in-process callers. (The reactor's shard workers
+    /// parse once themselves and call [`Self::execute_at`] with their
+    /// own shard.) A single-key command runs on the shard its key
     /// hashes to; keyless verbs take shard 0 as their home (only
     /// `PING` touches it — the cross-shard verbs merge over every
     /// shard). A line that does not parse is answered with

@@ -9,7 +9,7 @@
 //! lets the application observe each loss.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -135,6 +135,15 @@ pub struct Store {
     /// Expiry deadlines, in traditional memory (like Redis's separate
     /// expires dict). Entries are removed lazily on access.
     expiries: Mutex<HashMap<Vec<u8>, Instant>>,
+    /// `expiries.len()`, stored only while the `expiries` lock is
+    /// held. While it reads 0 no key has a deadline, so lookups and
+    /// writes skip that lock: a GET on a TTL-free store takes no
+    /// store-level lock at all. A lookup that reads 0 while an EXPIRE
+    /// is inserting orders before that EXPIRE, as it would had it won
+    /// the lock. `Relaxed` suffices: the count publishes no data (a
+    /// reader that sees it non-zero takes the lock), and a caller
+    /// ordered after an EXPIRE reads that EXPIRE's store or a later one.
+    ttl_keys: AtomicUsize,
     /// The second-chance cold tier ([`Store::with_tier`]). When
     /// present, evictions demote into it and reads fall through
     /// hot → arena → disk, promoting on access.
@@ -272,6 +281,7 @@ impl Store {
             counters,
             metrics,
             expiries: Mutex::new(HashMap::new()),
+            ttl_keys: AtomicUsize::new(0),
             tier,
             stripes: (0..STRIPES).map(|_| Mutex::new(())).collect(),
         };
@@ -297,17 +307,39 @@ impl Store {
         &self.stripes[(h as usize) % STRIPES]
     }
 
+    /// Whether some key has a deadline (see `ttl_keys`).
+    fn any_ttl(&self) -> bool {
+        self.ttl_keys.load(Ordering::Relaxed) != 0
+    }
+
+    /// Updates the `expiries` map through `f` and republishes its
+    /// length to `ttl_keys` under the same lock.
+    fn with_expiries<R>(&self, f: impl FnOnce(&mut HashMap<Vec<u8>, Instant>) -> R) -> R {
+        let mut expiries = self.expiries.lock();
+        let r = f(&mut expiries);
+        self.ttl_keys.store(expiries.len(), Ordering::Relaxed);
+        r
+    }
+
+    /// Drops `key`'s deadline; returns whether it had one.
+    fn clear_expiry(&self, key: &[u8]) -> bool {
+        self.any_ttl() && self.with_expiries(|e| e.remove(key).is_some())
+    }
+
     /// Removes `key` if its deadline has passed; returns whether it
     /// was expired (lazy expiry, as in Redis).
     fn expire_if_due(&self, key: &[u8]) -> bool {
+        if !self.any_ttl() {
+            return false;
+        }
         let due = {
             let expiries = self.expiries.lock();
             matches!(expiries.get(key), Some(&deadline) if deadline <= Instant::now())
         };
         if due {
             let _placement = self.stripe(key).lock();
-            self.expiries.lock().remove(key);
-            self.table.remove(&key.to_vec());
+            self.clear_expiry(key);
+            self.table.remove(key);
             // An expired key's cold copy is stale too — a later GET
             // must not resurrect it from the tier.
             if let Some(tier) = &self.tier {
@@ -374,7 +406,7 @@ impl Store {
     fn set_locked(&self, key: &[u8], value: &[u8]) -> SoftResult<()> {
         self.counters.sets.fetch_add(1, Ordering::Relaxed);
         self.metrics.sets.add(1);
-        self.expiries.lock().remove(key);
+        self.clear_expiry(key);
         let result = match self.table.insert(key.to_vec(), value.to_vec()) {
             Ok(_) => Ok(()),
             Err(err @ (SoftError::BudgetExceeded { .. } | SoftError::Denied { .. })) => {
@@ -496,7 +528,7 @@ impl Store {
     /// was there. On a miss `buf` is untouched.
     fn read_hot(&self, key: &[u8], buf: &mut Vec<u8>) -> bool {
         self.table
-            .get_with(&key.to_vec(), |v| {
+            .get_with(key, |v| {
                 buf.reserve(v.len());
                 buf.extend_from_slice(v);
             })
@@ -530,8 +562,8 @@ impl Store {
     /// Deletes `key`; returns whether it existed (in either tier).
     pub fn del(&self, key: &[u8]) -> bool {
         let _placement = self.stripe(key).lock();
-        self.expiries.lock().remove(key);
-        let hot = self.table.remove(&key.to_vec()).is_some();
+        self.clear_expiry(key);
+        let hot = self.table.remove(key).is_some();
         let cold = match &self.tier {
             Some(tier) => tier.invalidate(key),
             None => false,
@@ -543,30 +575,30 @@ impl Store {
     /// does not promote).
     pub fn exists(&self, key: &[u8]) -> bool {
         !self.expire_if_due(key)
-            && (self.table.contains_key(&key.to_vec())
-                || self.tier.as_ref().is_some_and(|t| t.contains(key)))
+            && (self.table.contains_key(key) || self.tier.as_ref().is_some_and(|t| t.contains(key)))
     }
 
     /// Sets a time-to-live on `key`; returns whether the key exists.
     pub fn expire(&self, key: &[u8], ttl: Duration) -> bool {
-        if self.expire_if_due(key) || !self.table.contains_key(&key.to_vec()) {
+        if self.expire_if_due(key) || !self.table.contains_key(key) {
             return false;
         }
-        self.expiries
-            .lock()
-            .insert(key.to_vec(), Instant::now() + ttl);
+        self.with_expiries(|e| e.insert(key.to_vec(), Instant::now() + ttl));
         true
     }
 
     /// Clears any expiry on `key`; returns whether one was cleared.
     pub fn persist(&self, key: &[u8]) -> bool {
-        !self.expire_if_due(key) && self.expiries.lock().remove(key).is_some()
+        !self.expire_if_due(key) && self.clear_expiry(key)
     }
 
     /// Queries the remaining time-to-live of `key`.
     pub fn ttl(&self, key: &[u8]) -> Ttl {
-        if self.expire_if_due(key) || !self.table.contains_key(&key.to_vec()) {
+        if self.expire_if_due(key) || !self.table.contains_key(key) {
             return Ttl::NoKey;
+        }
+        if !self.any_ttl() {
+            return Ttl::NoExpiry;
         }
         match self.expiries.lock().get(key) {
             Some(&deadline) => Ttl::Remaining(deadline.saturating_duration_since(Instant::now())),
@@ -580,7 +612,7 @@ impl Store {
     pub fn incr_by(&self, key: &[u8], delta: i64) -> Result<i64, String> {
         self.expire_if_due(key);
         let _placement = self.stripe(key).lock();
-        let current = match self.table.get_with(&key.to_vec(), |v| v.clone()) {
+        let current = match self.table.get_with(key, |v| v.clone()) {
             Some(v) => std::str::from_utf8(&v)
                 .ok()
                 .and_then(|s| s.parse::<i64>().ok())
@@ -600,7 +632,7 @@ impl Store {
     pub fn setnx(&self, key: &[u8], value: &[u8]) -> SoftResult<bool> {
         self.expire_if_due(key);
         let _placement = self.stripe(key).lock();
-        if self.table.contains_key(&key.to_vec()) {
+        if self.table.contains_key(key) {
             return Ok(false);
         }
         self.set_locked(key, value)?;
@@ -617,10 +649,7 @@ impl Store {
     pub fn append(&self, key: &[u8], suffix: &[u8]) -> SoftResult<usize> {
         self.expire_if_due(key);
         let _placement = self.stripe(key).lock();
-        let mut value = self
-            .table
-            .get_with(&key.to_vec(), |v| v.clone())
-            .unwrap_or_default();
+        let mut value = self.table.get_with(key, |v| v.clone()).unwrap_or_default();
         value.extend_from_slice(suffix);
         let len = value.len();
         self.set_locked(key, &value)?;
@@ -637,7 +666,7 @@ impl Store {
         // Take every stripe (in index order, so concurrent flushes
         // cannot deadlock) so no promotion or write straddles the wipe.
         let _placement: Vec<_> = self.stripes.iter().map(|s| s.lock()).collect();
-        self.expiries.lock().clear();
+        self.with_expiries(HashMap::clear);
         self.table.clear();
         if let Some(tier) = &self.tier {
             tier.clear();
@@ -925,6 +954,123 @@ mod tests {
         std::thread::sleep(Duration::from_millis(25));
         assert_eq!(s.get(b"k"), Some(b"v2".to_vec()));
         assert!(!s.persist(b"k"), "no expiry left to cancel");
+    }
+
+    /// The `ttl_keys` mirror against the map it mirrors.
+    fn ttl_keys(s: &Store) -> usize {
+        let mirror = s.ttl_keys.load(Ordering::SeqCst);
+        assert_eq!(mirror, s.expiries.lock().len(), "mirror drifted");
+        mirror
+    }
+
+    #[test]
+    fn ttl_mirror_tracks_every_transition() {
+        const LONG: Duration = Duration::from_secs(3600);
+        // A zero TTL is due at once: lazy expiry without a sleep.
+        const DUE: Duration = Duration::ZERO;
+        let (_sma, s) = store(64);
+        assert_eq!(ttl_keys(&s), 0);
+        s.set(b"a", b"1").unwrap();
+        assert_eq!(ttl_keys(&s), 0);
+        // PEXPIRE on a new key, again on the same key, on a missing key.
+        assert!(s.expire(b"a", LONG));
+        assert_eq!(ttl_keys(&s), 1);
+        assert!(s.expire(b"a", 2 * LONG));
+        assert_eq!(ttl_keys(&s), 1);
+        assert!(!s.expire(b"missing", LONG));
+        assert_eq!(ttl_keys(&s), 1);
+        assert!(matches!(s.ttl(b"a"), Ttl::Remaining(_)));
+        // PERSIST, twice.
+        assert!(s.persist(b"a"));
+        assert_eq!(ttl_keys(&s), 0);
+        assert!(!s.persist(b"a"));
+        assert_eq!(s.ttl(b"a"), Ttl::NoExpiry);
+        // DEL of a TTL'd key.
+        assert!(s.expire(b"a", LONG));
+        assert!(s.del(b"a"));
+        assert_eq!(ttl_keys(&s), 0);
+        assert_eq!(s.ttl(b"a"), Ttl::NoKey);
+        // SET, INCR and APPEND over a TTL'd key each clear its deadline.
+        s.set(b"a", b"1").unwrap();
+        s.expire(b"a", LONG);
+        s.set(b"a", b"2").unwrap();
+        assert_eq!(ttl_keys(&s), 0);
+        assert_eq!(s.ttl(b"a"), Ttl::NoExpiry);
+        s.expire(b"a", LONG);
+        assert_eq!(s.incr_by(b"a", 1).unwrap(), 3);
+        assert_eq!(ttl_keys(&s), 0);
+        s.expire(b"a", LONG);
+        assert_eq!(s.append(b"a", b"x").unwrap(), 2);
+        assert_eq!(ttl_keys(&s), 0);
+        assert_eq!(s.get(b"a"), Some(b"3x".to_vec()));
+        // SETNX over a live TTL'd key stores nothing and keeps the
+        // deadline; over a due one it stores and clears it.
+        s.expire(b"a", LONG);
+        assert!(!s.setnx(b"a", b"no").unwrap());
+        assert_eq!(ttl_keys(&s), 1);
+        s.expire(b"a", DUE);
+        assert!(s.setnx(b"a", b"yes").unwrap());
+        assert_eq!(ttl_keys(&s), 0);
+        assert_eq!(s.get(b"a"), Some(b"yes".to_vec()));
+        // Lazy expiry through GET, EXISTS and PTTL.
+        for key in [b"g", b"e", b"t"] {
+            s.set(key, b"v").unwrap();
+            assert!(s.expire(key, DUE));
+        }
+        assert_eq!(ttl_keys(&s), 3);
+        assert_eq!(s.get(b"g"), None);
+        assert_eq!(ttl_keys(&s), 2);
+        assert!(!s.exists(b"e"));
+        assert_eq!(ttl_keys(&s), 1);
+        assert_eq!(s.ttl(b"t"), Ttl::NoKey);
+        assert_eq!(ttl_keys(&s), 0);
+        assert_eq!(s.dbsize(), 1, "only `a` is left");
+        // FLUSHALL drops every deadline.
+        for key in [b"x", b"y"] {
+            s.set(key, b"v").unwrap();
+            s.expire(key, LONG);
+        }
+        assert_eq!(ttl_keys(&s), 2);
+        s.flushall();
+        assert_eq!(ttl_keys(&s), 0);
+    }
+
+    #[test]
+    fn ttl_mirror_holds_under_concurrent_expire_persist_and_get() {
+        const ROUNDS: usize = 2_000;
+        let (_sma, s) = store(64);
+        let keys: Vec<Vec<u8>> = (0..8).map(|i| format!("k{i}").into_bytes()).collect();
+        for k in &keys {
+            s.set(k, b"v").unwrap();
+        }
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            // Two writers on disjoint halves of the keyspace.
+            for half in keys.chunks(4) {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let k = &half[round % half.len()];
+                        if round % 3 == 2 {
+                            s.persist(k);
+                        } else {
+                            assert!(s.expire(k, Duration::from_secs(3600)));
+                        }
+                    }
+                });
+            }
+            let (s, start, keys) = (&s, &start, &keys);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    assert!(s.get(&keys[round % keys.len()]).is_some());
+                }
+            });
+        });
+        let left = ttl_keys(&s);
+        assert!(left <= keys.len());
+        assert_eq!(s.dbsize(), keys.len(), "nothing was due");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! "not found → client re-fetches from the database" behaviour the
 //! paper reports for Redis.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use std::sync::Arc;
@@ -68,7 +69,7 @@ struct Inner<K, V> {
 /// let sma = Sma::standalone(64);
 /// let m: SoftHashMap<String, u64> = SoftHashMap::new(&sma, "index", Priority::new(3));
 /// m.insert("a".into(), 1).unwrap();
-/// assert_eq!(m.get(&"a".into()), Some(1));
+/// assert_eq!(m.get("a"), Some(1));
 /// // A reclaimed entry simply reads as a miss — re-fetchable, like a
 /// // cache entry in the paper's Redis integration.
 /// ```
@@ -123,7 +124,9 @@ impl<K: Hash + Eq + Send + 'static, V: Send + 'static> SoftHashMap<K, V> {
         self.inner.lock().callback = Some(Box::new(cb));
     }
 
-    fn hash_of(&self, key: &K) -> u64 {
+    /// A borrowed form hashes exactly like the owned key (the
+    /// `Borrow` contract), so both land in the same bucket.
+    fn hash_of<Q: Hash + ?Sized>(&self, key: &Q) -> u64 {
         self.hasher.hash_one(key)
     }
 
@@ -157,7 +160,7 @@ impl<K: Hash + Eq + Send + 'static, V: Send + 'static> SoftHashMap<K, V> {
         let probe = key.clone();
         let new_slot = self.sma.alloc_value(self.id, Entry { key, value })?;
         let mut inner = self.inner.lock();
-        if let Some((b, i)) = Self::find(&self.sma, &inner, hash, &probe) {
+        if let Some((b, i, ())) = Self::find_with(&self.sma, &inner, hash, &probe, |_| ()) {
             let Entry {
                 value: new_value, ..
             } = self
@@ -186,37 +189,49 @@ impl<K: Hash + Eq + Send + 'static, V: Send + 'static> SoftHashMap<K, V> {
     }
 
     /// Looks up `key` and clones the value.
-    pub fn get(&self, key: &K) -> Option<V>
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
     where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
         V: Clone,
     {
         self.get_with(key, V::clone)
     }
 
-    /// Looks up `key` and applies `f` to the value.
-    pub fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
+    /// Looks up `key` and applies `f` to the value. `key` may be any
+    /// borrowed form of `K` (`&[u8]` for a `Vec<u8>` key), so a lookup
+    /// never builds an owned key.
+    ///
+    /// A hit resolves its slot once: the key comparison and `f` run in
+    /// the same [`Sma::with_value`] call.
+    pub fn get_with<Q, R>(&self, key: &Q, f: impl FnOnce(&V) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let hash = self.hash_of(key);
         let inner = self.inner.lock();
-        let (b, i) = Self::find(&self.sma, &inner, hash, key)?;
-        Some(
-            self.sma
-                .with_value(&inner.buckets[b][i].1, |e| f(&e.value))
-                .expect("bucket handles stay live under the map lock"),
-        )
+        Self::find_with(&self.sma, &inner, hash, key, |e| f(&e.value)).map(|(_, _, r)| r)
     }
 
     /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        let hash = self.hash_of(key);
-        let inner = self.inner.lock();
-        Self::find(&self.sma, &inner, hash, key).is_some()
+    pub fn contains_key<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.get_with(key, |_| ()).is_some()
     }
 
     /// Removes `key`, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V> {
+    pub fn remove<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let hash = self.hash_of(key);
         let mut inner = self.inner.lock();
-        let (b, i) = Self::find(&self.sma, &inner, hash, key)?;
+        let (b, i, ()) = Self::find_with(&self.sma, &inner, hash, key, |_| ())?;
         let (_, slot) = inner.buckets[b].swap_remove(i);
         inner.len -= 1;
         let entry = self
@@ -254,18 +269,33 @@ impl<K: Hash + Eq + Send + 'static, V: Send + 'static> SoftHashMap<K, V> {
         }
     }
 
-    fn find(sma: &Arc<Sma>, inner: &Inner<K, V>, hash: u64, key: &K) -> Option<(usize, usize)> {
+    /// Finds `key`'s entry: its `(bucket, index)` position and what
+    /// `f` returned for it. `f` runs in the same [`Sma::with_value`]
+    /// call that compares the key, so a hit resolves its slot once.
+    fn find_with<Q, R>(
+        sma: &Arc<Sma>,
+        inner: &Inner<K, V>,
+        hash: u64,
+        key: &Q,
+        f: impl FnOnce(&Entry<K, V>) -> R,
+    ) -> Option<(usize, usize, R)>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let b = (hash as usize) % inner.buckets.len();
-        for (i, (h, slot)) in inner.buckets[b].iter().enumerate() {
-            if *h == hash
-                && sma
-                    .with_value(slot, |e| e.key == *key)
-                    .expect("bucket handles stay live under the map lock")
-            {
-                return Some((b, i));
-            }
-        }
-        None
+        let mut f = Some(f);
+        inner.buckets[b]
+            .iter()
+            .enumerate()
+            .filter(|(_, (h, _))| *h == hash)
+            .find_map(|(i, (_, slot))| {
+                sma.with_value(slot, |e| {
+                    (e.key.borrow() == key)
+                        .then(|| (b, i, f.take().expect("only the matching entry calls f")(e)))
+                })
+                .expect("bucket handles stay live under the map lock")
+            })
     }
 
     fn grow(inner: &mut Inner<K, V>) {
@@ -398,14 +428,14 @@ mod tests {
         let (_sma, m) = map(256);
         assert_eq!(m.insert("a".into(), 1).unwrap(), None);
         assert_eq!(m.insert("b".into(), 2).unwrap(), None);
-        assert_eq!(m.get(&"a".into()), Some(1));
+        assert_eq!(m.get("a"), Some(1));
         assert_eq!(m.insert("a".into(), 10).unwrap(), Some(1));
-        assert_eq!(m.get(&"a".into()), Some(10));
-        assert_eq!(m.remove(&"a".into()), Some(10));
-        assert_eq!(m.get(&"a".into()), None);
-        assert_eq!(m.remove(&"a".into()), None);
+        assert_eq!(m.get("a"), Some(10));
+        assert_eq!(m.remove("a"), Some(10));
+        assert_eq!(m.get("a"), None);
+        assert_eq!(m.remove("a"), None);
         assert_eq!(m.len(), 1);
-        assert!(m.contains_key(&"b".into()));
+        assert!(m.contains_key("b"));
     }
 
     #[test]
@@ -453,8 +483,8 @@ mod tests {
         m.reclaim_now(3 * entry);
         assert_eq!(*seen.lock(), vec!["k0", "k1", "k2"]);
         assert_eq!(m.len(), 7);
-        assert_eq!(m.get(&"k0".into()), None, "reclaimed ⇒ miss");
-        assert_eq!(m.get(&"k3".into()), Some(3));
+        assert_eq!(m.get("k0"), None, "reclaimed ⇒ miss");
+        assert_eq!(m.get("k3"), Some(3));
     }
 
     #[test]
@@ -464,12 +494,12 @@ mod tests {
             m.insert(format!("k{i}"), i).unwrap();
         }
         // Remove the two oldest: their order-index entries go stale.
-        m.remove(&"k0".into());
-        m.remove(&"k1".into());
+        m.remove("k0");
+        m.remove("k1");
         let entry = std::mem::size_of::<Entry<String, u64>>();
         m.reclaim_now(entry);
         // k2 (the oldest live entry) is the eviction victim.
-        assert_eq!(m.get(&"k2".into()), None);
+        assert_eq!(m.get("k2"), None);
         assert_eq!(m.len(), 2);
     }
 
@@ -496,7 +526,7 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(sma.stats().live_allocs, 0);
         m.insert("x".into(), 1).unwrap();
-        assert_eq!(m.get(&"x".into()), Some(1));
+        assert_eq!(m.get("x"), Some(1));
     }
 
     #[test]

@@ -480,6 +480,16 @@ impl CheckScope<'_> {
                     defects.push(format!("kv.{name} mirror {mirror} != ground truth {truth}"));
                 }
             }
+            // `op_ns` times the commands whose pre-increment `ops` count
+            // is a multiple of SAMPLE_EVERY: exactly ⌈ops / SAMPLE_EVERY⌉.
+            let ops = m.ops.get();
+            let timed = m.op_ns.count();
+            let want = ops.div_ceil(softmem_telemetry::SAMPLE_EVERY);
+            if timed != want {
+                defects.push(format!(
+                    "kv.op_ns holds {timed} sample(s) for {ops} ops (want {want})"
+                ));
+            }
             // Cold-tier conservation: every demoted entry is accounted
             // for — promoted, invalidated, replaced, dropped, corrupted,
             // or still resident — and the arena/spill structural
@@ -600,6 +610,10 @@ mod tests {
         let (machine, smd, procs, pools, queues, stores) = scope_fixture();
         pools[0].insert(1024, 0x11).unwrap();
         stores[0].set(b"k", b"v").unwrap();
+        // One more command than a sampling period: two timed samples.
+        for _ in 0..=softmem_telemetry::SAMPLE_EVERY {
+            softmem_kv::CommandRef::Get { key: b"k" }.execute(&stores[0]);
+        }
         let scope = CheckScope {
             machine: &machine,
             smd: &smd,
@@ -618,6 +632,8 @@ mod tests {
         // …the cold-tier instrumentation (a hit mirror with no promote
         // behind it — the fixture store has no tier, so truth stays 0)…
         stores[0].metrics().cold_hits.add(1);
+        // …a sampled-timer sample with no command behind it…
+        stores[0].metrics().op_ns.record(100);
         // …plus the magazine instrumentation: an SMA-level counter
         // mirror and one per-SDS gauge (`pool` registered first → sds0).
         procs[0].sma().metrics().magazine_refills_total.add(5);
@@ -628,7 +644,7 @@ mod tests {
             .gauge("sds0_magazine_pages")
             .add(7);
         let violations = scope.check_metrics_consistency("test");
-        assert_eq!(violations.len(), 6, "{violations:?}");
+        assert_eq!(violations.len(), 7, "{violations:?}");
         assert!(violations
             .iter()
             .all(|v| v.family == InvariantFamily::MetricsConsistency));
@@ -637,6 +653,7 @@ mod tests {
         assert!(details.contains("smd.grants_total"), "{details}");
         assert!(details.contains("kv.hits"), "{details}");
         assert!(details.contains("kv.cold_hits"), "{details}");
+        assert!(details.contains("kv.op_ns"), "{details}");
         assert!(details.contains("sma.magazine_refills_total"), "{details}");
         assert!(details.contains("sma.sds0_magazine_pages"), "{details}");
     }

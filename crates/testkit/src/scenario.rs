@@ -178,6 +178,12 @@ pub struct ScenarioSpec {
     /// Whether each tiered engine also spills arena overflow to a
     /// unique temp file (ignored when `kv_cold_arena_bytes` is 0).
     pub kv_spill: bool,
+    /// Whether the runner ends the scenario with one forced demote →
+    /// promote round trip per tiered shard (after the quiesce check,
+    /// before the tier counters are read), so the verdict's
+    /// `cold_demotions`/`cold_hits` do not depend on how the workers
+    /// interleaved. Ignored when `kv_cold_arena_bytes` is 0.
+    pub kv_tier_round_trip: bool,
     /// Operation weights.
     pub mix: OpMix,
     /// Pressure phases.
@@ -206,6 +212,7 @@ impl ScenarioSpec {
             kv_shards: 1,
             kv_cold_arena_bytes: 0,
             kv_spill: false,
+            kv_tier_round_trip: false,
             mix: OpMix::default(),
             phases: vec![
                 Phase {
@@ -236,7 +243,8 @@ pub struct Verdict {
     pub seed: u64,
     /// Order-independent hash of every worker's operation schedule.
     pub schedule_hash: u64,
-    /// Invariant checkpoints executed (phases + quiesce).
+    /// Invariant checkpoints executed (phases + quiesce, plus one after
+    /// the forced tier round trip when the spec asks for it).
     pub checks: usize,
     /// Total operations executed across workers.
     pub ops_total: u64,
@@ -782,6 +790,22 @@ pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> Verdict {
     };
     violations.extend(scope.check_all("quiesce"));
     checks += 1;
+    if spec.kv_tier_round_trip {
+        // Force one demote → promote round trip per tiered shard, so
+        // the tier's machinery fires whatever order the workers ran
+        // in: store a probe (the newest entry, so the last one shed),
+        // shed the whole shard into its cold tier, and read the probe
+        // back. A SET the budget refuses leaves nothing to promote,
+        // and the tier counters the scenario tests assert on say so.
+        for store in stores.iter().filter(|s| s.tier().is_some()) {
+            const PROBE: &[u8] = b"testkit-tier-probe";
+            let _ = store.set(PROBE, &[0x5A; 64]);
+            store.shed(usize::MAX);
+            store.get(PROBE);
+        }
+        violations.extend(scope.check_all("after the tier round trip"));
+        checks += 1;
+    }
     let (mut cold_demotions, mut cold_hits, mut spill_hits, mut spill_writes) = (0, 0, 0, 0);
     for store in &stores {
         let s = store.stats();

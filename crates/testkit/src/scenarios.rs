@@ -396,6 +396,7 @@ pub fn demote_promote_churn() -> ScenarioSpec {
     let mut s = ScenarioSpec::baseline("demote_promote_churn");
     s.kv = true;
     s.kv_cold_arena_bytes = 256 << 10;
+    s.kv_tier_round_trip = true;
     s.capacity_pages = 12;
     s.initial_budget_pages = 4;
     s.mix = OpMix {
@@ -506,6 +507,7 @@ pub fn cold_tier_corruption() -> ScenarioSpec {
         },
     ];
     s.fault.corrupt_cold = Some(1);
+    s.kv_tier_round_trip = true;
     s
 }
 

@@ -72,6 +72,38 @@ proptest! {
         prop_assert_eq!(seen, model.len());
     }
 
+    /// Byte-string keys looked up by both borrowed forms: `&[u8]` and
+    /// `&Vec<u8>` must hash to the same bucket and compare equal, so
+    /// either one finds what `insert` stored.
+    #[test]
+    fn soft_hashmap_borrowed_byte_keys_match_std_model(
+        ops in proptest::collection::vec(
+            (0u8..4, any::<u8>(), any::<u64>()),
+            1..200,
+        ),
+    ) {
+        let sma = Sma::standalone(1 << 14);
+        let map: SoftHashMap<Vec<u8>, u64> = SoftHashMap::new(&sma, "m", Priority::default());
+        let mut model: std::collections::HashMap<Vec<u8>, u64> = std::collections::HashMap::new();
+        for (i, (kind, k, v)) in ops.into_iter().enumerate() {
+            // Lengths 0..=6, so the empty key and shared prefixes occur.
+            let key = vec![b'a' + k % 3; usize::from(k % 7)];
+            let slice: &[u8] = &key;
+            match (kind, i % 2 == 0) {
+                (0, _) => {
+                    prop_assert_eq!(map.insert(key.clone(), v).expect("budget"), model.insert(key, v));
+                }
+                (1, true) => prop_assert_eq!(map.get(slice), model.get(slice).copied()),
+                (1, false) => prop_assert_eq!(map.get(&key), model.get(&key).copied()),
+                (2, true) => prop_assert_eq!(map.contains_key(slice), model.contains_key(slice)),
+                (2, false) => prop_assert_eq!(map.contains_key(&key), model.contains_key(&key)),
+                (_, true) => prop_assert_eq!(map.remove(slice), model.remove(slice)),
+                (_, false) => prop_assert_eq!(map.remove(&key), model.remove(&key)),
+            }
+            prop_assert_eq!(map.len(), model.len());
+        }
+    }
+
     #[test]
     fn soft_list_matches_std_model(
         ops in proptest::collection::vec(

@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use softmem::core::{MachineMemory, Priority, Sma};
 use softmem::daemon::uds::UdsSmdServer;
 use softmem::daemon::{Smd, SmdConfig};
+use softmem::kv::protocol::routing_key_of;
 use softmem::kv::{CommandRef, Response, Store};
 #[cfg(target_os = "linux")]
 use softmem::kv::{ReactorConfig, ReactorFrontend, ShardedStore};
@@ -28,6 +29,51 @@ fn junk_line() -> impl Strategy<Value = String> {
         0..80,
     )
     .prop_map(|cs| cs.into_iter().collect())
+}
+
+/// Raw request frames built to stress the routing extractor: a known
+/// (or near-miss) verb in random case, then random pieces — runs of
+/// spaces, ASCII and non-ASCII tokens, tabs, CR/LF and the odd invalid
+/// UTF-8 byte.
+fn routing_frame() -> impl Strategy<Value = Vec<u8>> {
+    const VERBS: &[&str] = &[
+        "PING", "SET", "GET", "DEL", "EXISTS", "DBSIZE", "FLUSHALL", "KEYS", "INFO", "SHED",
+        "INCR", "INCRBY", "APPEND", "PEXPIRE", "PTTL", "PERSIST", "SETNX", "MGET", "STATS",
+        "SHUTDOWN", "GETX", "SE", "INC", "", "ÉGET",
+    ];
+    const ODD: &[&str] = &["é", "✓", "\u{0}", "\t"];
+    const EOL: &[&str] = &["\r", "\n", "\r\n"];
+    let piece = prop_oneof![
+        4 => Just(b" ".to_vec()),
+        1 => Just(b"  ".to_vec()),
+        4 => proptest::collection::vec(proptest::char::range('!', '~'), 1..6)
+            .prop_map(|cs| cs.into_iter().collect::<String>().into_bytes()),
+        1 => (0..ODD.len()).prop_map(|i| ODD[i].as_bytes().to_vec()),
+        1 => (0..EOL.len()).prop_map(|i| EOL[i].as_bytes().to_vec()),
+        1 => Just(vec![0xFF]),
+    ];
+    (
+        (0..VERBS.len()).prop_map(|i| VERBS[i]),
+        any::<u32>(),
+        proptest::collection::vec(piece, 0..8),
+    )
+        .prop_map(|(verb, case, pieces)| {
+            let mut frame: Vec<u8> = verb
+                .bytes()
+                .enumerate()
+                .map(|(i, b)| {
+                    if (case >> (i % 32)) & 1 == 1 {
+                        b.to_ascii_lowercase()
+                    } else {
+                        b
+                    }
+                })
+                .collect();
+            for p in pieces {
+                frame.extend_from_slice(&p);
+            }
+            frame
+        })
 }
 
 proptest! {
@@ -52,6 +98,24 @@ proptest! {
         // The store remains consistent and usable.
         store.set(b"sentinel", b"alive").expect("budget");
         prop_assert_eq!(store.get(b"sentinel"), Some(b"alive".to_vec()));
+    }
+}
+
+proptest! {
+    // Pure parsing, no I/O: cheap enough for many cases.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn routing_key_of_agrees_with_the_full_parse(frame in routing_frame()) {
+        // A shard worker executes what it receives on its own shard,
+        // so the reactor's cheap extractor must name exactly the key
+        // the worker's parse routes by. Frames the parse rejects may
+        // still route anywhere deterministic, but never by an empty key.
+        let fast = routing_key_of(&frame);
+        match std::str::from_utf8(&frame).map(CommandRef::parse) {
+            Ok(Ok(cmd)) => prop_assert_eq!(fast, cmd.routing_key(), "frame {:?}", frame),
+            _ => prop_assert!(fast.is_none_or(|k| !k.is_empty()), "frame {:?}", frame),
+        }
     }
 }
 
